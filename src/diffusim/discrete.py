@@ -6,14 +6,20 @@ All routing here happens in "token units": the sample is k + U and the row
 prefix sums are scaled by x_v. This avoids forming k/x_v and (k+1)/x_v
 separately (cancellation at large x_v) and gives both samplers identical
 boundary semantics. Intervals are half-open; a sample landing exactly on a
-prefix boundary routes to the interval on its right.
+prefix boundary routes to the interval on its right. Token units are
+float64, which counts exactly only up to 2**53, so configurations built
+from outside input reject totals above MAX_TOTAL.
 
 Two samplers are first-class:
 
 * step_naive draws one uniform per token (the literal algorithm);
-* step_batch routes tokens whose whole sampling window sits inside one row
-  interval deterministically and only draws for the boundary tokens (at
-  most two per row interval), which is distributionally identical.
+* step_batch moves every token whose window sits inside one row interval
+  in bulk, without a draw, and draws only for the boundary tokens, whose
+  window holds one or more internal cuts (at most two such tokens per row
+  interval). This is distributionally identical. One routing path serves
+  both trace settings: one uniform per boundary token, by vertex and then
+  token index, from a single generator call per step. trace=True records
+  the same draws, so tracing never changes the next configuration.
 """
 from __future__ import annotations
 
@@ -45,6 +51,14 @@ __all__ = [
     "loads_text",
 ]
 
+MAX_TOTAL = 2**53  # largest total whose token-unit arithmetic stays exact
+
+
+def _check_total(total: int | float) -> int | float:
+    if total > MAX_TOTAL:
+        raise ValidationError(f"total load {total} exceeds 2**53, the largest the samplers route exactly")
+    return total
+
 
 @dataclass(frozen=True, eq=False)
 class LoadConfig:
@@ -58,7 +72,12 @@ class LoadConfig:
         arr = np.asarray(loads)
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError("loads must be a non-empty 1-d vector")
-        return cls._wrap(arr)
+        # the float64 sum is exact up to MAX_TOTAL; checking it first keeps
+        # the int64 conversion and sum in _wrap from wrapping
+        _check_total(np.abs(arr.astype(np.float64)).sum())
+        cfg = cls._wrap(arr)
+        _check_total(cfg.total)
+        return cfg
 
     @classmethod
     def _wrap(cls, arr) -> "LoadConfig":
@@ -79,6 +98,13 @@ class LoadConfig:
         return int(self.loads.size)
 
 
+def _conserved(new: np.ndarray, total: int) -> LoadConfig:
+    """Wrap a step's output after checking that it kept every token."""
+    if int(new.sum()) != total:
+        raise ValidationError(f"step produced total {int(new.sum())}, expected {total}")
+    return LoadConfig._wrap(new)
+
+
 @dataclass
 class StepTrace:
     """Per-step record of token destinations for invariant checking.
@@ -93,6 +119,13 @@ class StepTrace:
     sampled: list[np.ndarray]
     r_values: list[np.ndarray]
 
+    @classmethod
+    def _split(cls, loads, starts, dest, sampled, r) -> "StepTrace":
+        """Per-vertex trace from flat per-token arrays in vertex order."""
+        spans = [slice(s, s + c) for s, c in zip(starts.tolist(), loads.tolist())]
+        return cls(loads_before=loads, destinations=[dest[s] for s in spans],
+                   sampled=[sampled[s] for s in spans], r_values=[r[s] for s in spans])
+
     def sent_counts(self) -> dict[tuple[int, int], int]:
         """(v, u) -> number of tokens sent from v to u this step."""
         out: dict[tuple[int, int], int] = {}
@@ -100,17 +133,6 @@ class StepTrace:
             for u, c in zip(*np.unique(dests, return_counts=True)):
                 out[(v, int(u))] = int(c)
         return out
-
-    def boundary_loads(self, P: RoundMatrix, v: int) -> np.ndarray:
-        """Token indices at v whose destination was not forced."""
-        mask = deterministic_token_mask(P, v, int(self.loads_before[v]))
-        return np.nonzero(~mask)[0]
-
-
-def _token_boundaries(P: RoundMatrix, v: int, x_v: int) -> np.ndarray:
-    """Row prefix sums of v scaled into token units (length row_len+1)."""
-    m = int(P.row_len[v])
-    return P.prefix[v, : m + 1] * float(x_v)
 
 
 def destination_distribution(row: RowView, x_v: int, k: int) -> np.ndarray:
@@ -134,117 +156,89 @@ def deterministic_token_mask(P: RoundMatrix, v: int, x_v: int) -> np.ndarray:
     boundary falls strictly inside its window; there are at most two such
     tokens per row interval.
     """
-    t = _token_boundaries(P, v, x_v)
+    cuts = P.row(v).prefix[1:-1] * float(x_v)  # internal boundaries in token units
+    kb = np.floor(cuts)
     mask = np.ones(x_v, dtype=bool)
-    tb = t[1:-1]
-    kb = np.floor(tb)
-    straddled = np.unique(kb[tb != kb]).astype(np.int64)
-    mask[straddled] = False
+    mask[kb[cuts != kb].astype(np.int64)] = False
     return mask
 
 
-def _route_vertex_batch(P: RoundMatrix, v: int, x_v: int, rng, dest, sampled, r_vals):
-    """Reference per-vertex batch routing, filling per-token trace arrays."""
-    m = int(P.row_len[v])
-    t = _token_boundaries(P, v, x_v)
-    targets = P.targets[v]
-    for i in range(m):
-        k0 = int(np.ceil(t[i]))
-        k1 = int(np.floor(t[i + 1]))
-        if k1 > k0:
-            dest[k0:k1] = targets[i]
-    tb = t[1:m]
-    kb = np.floor(tb)
-    strict = np.nonzero(tb != kb)[0]
-    gi = 0
-    while gi < strict.size:
-        gj = gi
-        while gj + 1 < strict.size and kb[strict[gj + 1]] == kb[strict[gi]]:
-            gj += 1
-        js = strict[gi : gj + 1]
-        k = int(kb[js[0]])
-        cuts = tb[js] - k
-        u = float(rng.random())
-        interval = int(js[0]) + int(np.searchsorted(cuts, u, side="right"))
-        dest[k] = targets[interval]
-        sampled[k] = True
-        r_vals[k] = k + u
-        gi = gj + 1
+def _route(loads: np.ndarray, P: RoundMatrix, rng):
+    """step_batch's routing of one round: (interior, v, k, u, col).
+
+    interior[v, i] counts the tokens of v whose window [k, k+1) lies inside
+    row interval i. Boundary token k of vertex v drew u and goes to row
+    column col. Boundary tokens are in row-major order, by vertex and then
+    token, and all their uniforms come from one rng.random call.
+    """
+    T = P.prefix * loads[:, None].astype(np.float64)  # (n, w+1) token-unit boundaries
+    flo = np.floor(T)
+    interior = flo[:, 1:] - np.ceil(T[:, :-1])
+    np.maximum(interior, 0.0, out=interior)
+    v, j = np.nonzero(T[:, 1:-1] != flo[:, 1:-1])  # internal cuts inside a window
+    k = flo[v, j + 1]
+    cut = T[v, j + 1] - k                          # the cut's offset in token k's window
+    shared = (v[1:] == v[:-1]) & (k[1:] == k[:-1])  # the next cut splits the same token
+    if not shared.any():
+        u = rng.random(v.size)
+        return interior, v, k, u, j + (u >= cut)
+    # a token straddling several cuts draws once and goes left of the first
+    # cut above u, or right of its last cut
+    start = np.concatenate(([True], ~shared))
+    first = np.flatnonzero(start)
+    u = rng.random(first.size)
+    below = cut <= u[np.cumsum(start) - 1]
+    return interior, v[first], k[first], u, j[first] + np.add.reduceat(below, first)
+
+
+def _tokens(loads: np.ndarray):
+    """(v, k, starts): the vertex and index k of every token, vertex by
+    vertex, and the flat position of each vertex's first token."""
+    starts = np.cumsum(loads) - loads
+    v = np.repeat(np.arange(loads.size), loads)
+    return v, np.arange(v.size) - starts[v], starts
+
+
+def _token_dests(P: RoundMatrix, loads: np.ndarray, v: np.ndarray, r: np.ndarray):
+    """Row target whose interval holds r[i], for a token at vertex v[i].
+
+    r is in token units; the last interval also takes a point that rounded
+    up onto the row's top end x_v.
+    """
+    t_rows = P.prefix[v] * loads[v, None].astype(np.float64)
+    col = (t_rows <= r[:, None]).sum(axis=1) - 1
+    np.minimum(col, P.row_len[v] - 1, out=col)
+    return P.targets[v, col]
 
 
 def step_batch(x: LoadConfig, P: RoundMatrix, rng, trace: bool = False):
-    """One round, sampling only boundary tokens.
+    """One round that draws only for boundary tokens.
 
-    Distributionally identical to step_naive. With trace=True returns
-    (config, StepTrace) via a slower per-vertex reference path.
+    Distributionally identical to step_naive. Each boundary token draws one
+    uniform, by vertex and then token index, in a single generator call;
+    every other token moves in bulk. With trace=True returns
+    (config, StepTrace); the trace records the same draws, so it does not
+    change the next configuration for a given generator state.
     """
     if x.n != P.n:
         raise ValidationError(f"config has {x.n} vertices, matrix has {P.n}")
     loads = x.loads
-    n = P.n
-    if trace:
-        dests, sampleds, rvs = [], [], []
-        new = np.zeros(n, dtype=np.int64)
-        for v in range(n):
-            x_v = int(loads[v])
-            dest = np.full(x_v, -1, dtype=np.int64)  # -1 trips the trace checks
-            samp = np.zeros(x_v, dtype=bool)
-            rv = np.full(x_v, np.nan)
-            if x_v > 0:
-                _route_vertex_batch(P, v, x_v, rng, dest, samp, rv)
-                assert np.all(dest >= 0)  # every token must have been routed
-                np.add.at(new, dest, 1)
-            dests.append(dest)
-            sampleds.append(samp)
-            rvs.append(rv)
-        assert int(new.sum()) == x.total
-        tr = StepTrace(loads_before=loads, destinations=dests, sampled=sampleds, r_values=rvs)
-        return LoadConfig._wrap(new), tr
-
-    xf = loads.astype(np.float64)
-    T = P.prefix * xf[:, None]                      # (n, w+1) token-unit boundaries
-    flo = np.floor(T)
-    interior = np.floor(T[:, 1:]) - np.ceil(T[:, :-1])
-    np.maximum(interior, 0.0, out=interior)
-    new = np.bincount(P.targets.ravel(), weights=interior.ravel(), minlength=n)
-    new = np.rint(new).astype(np.int64)
-
-    tb = T[:, 1:-1]                                 # internal boundaries
-    kb = flo[:, 1:-1]
-    strict = tb != kb
-    if tb.shape[1] >= 2:
-        dup = strict[:, 1:] & strict[:, :-1] & (kb[:, 1:] == kb[:, :-1])
-        multi = dup.any(axis=1)
-    else:
-        multi = np.zeros(n, dtype=bool)
-
-    fast = strict & ~multi[:, None]
-    vv, jj = np.nonzero(fast)
-    if vv.size:
-        u = rng.random(vv.size)
-        frac = tb[vv, jj] - kb[vv, jj]              # left-interval share
-        dest_col = np.where(u < frac, jj, jj + 1)
-        new += np.bincount(P.targets[vv, dest_col], minlength=n)
-
-    for v in np.nonzero(multi)[0]:
-        x_v = int(loads[v])
-        t = _token_boundaries(P, v, x_v)
-        tbv = t[1:-1]
-        kbv = np.floor(tbv)
-        strict_idx = np.nonzero(tbv != kbv)[0]
-        gi = 0
-        while gi < strict_idx.size:
-            gj = gi
-            while gj + 1 < strict_idx.size and kbv[strict_idx[gj + 1]] == kbv[strict_idx[gi]]:
-                gj += 1
-            js = strict_idx[gi : gj + 1]
-            cuts = tbv[js] - kbv[js[0]]
-            interval = int(js[0]) + int(np.searchsorted(cuts, float(rng.random()), side="right"))
-            new[P.targets[v, interval]] += 1
-            gi = gj + 1
-
-    assert int(new.sum()) == x.total
-    return LoadConfig._wrap(new)
+    interior, v, k, u, col = _route(loads, P, rng)
+    dest = P.targets[v, col]
+    new = np.bincount(P.targets.ravel(), weights=interior.ravel(), minlength=P.n)
+    new = np.rint(new).astype(np.int64) + np.bincount(dest, minlength=P.n)
+    cfg = _conserved(new, x.total)
+    if not trace:
+        return cfg
+    tv, tk, starts = _tokens(loads)
+    dests = _token_dests(P, loads, tv, tk)
+    at = starts[v] + k.astype(np.int64)
+    dests[at] = dest
+    sampled = np.zeros(tv.size, dtype=bool)
+    sampled[at] = True
+    r = np.full(tv.size, np.nan)
+    r[at] = k + u
+    return cfg, StepTrace._split(loads, starts, dests, sampled, r)
 
 
 def step_naive(x: LoadConfig, P: RoundMatrix, rng, trace: bool = False):
@@ -256,43 +250,13 @@ def step_naive(x: LoadConfig, P: RoundMatrix, rng, trace: bool = False):
     if x.n != P.n:
         raise ValidationError(f"config has {x.n} vertices, matrix has {P.n}")
     loads = x.loads
-    n = P.n
-    M = x.total
-    if M == 0:
-        new = LoadConfig._wrap(np.zeros(n, dtype=np.int64))
-        if trace:
-            empty = [np.empty(0, dtype=np.int64) for _ in range(n)]
-            tr = StepTrace(
-                loads_before=loads,
-                destinations=empty,
-                sampled=[np.empty(0, dtype=bool) for _ in range(n)],
-                r_values=[np.empty(0) for _ in range(n)],
-            )
-            return new, tr
-        return new
-
-    v_rep = np.repeat(np.arange(n, dtype=np.int64), loads)
-    starts = np.concatenate(([0], np.cumsum(loads)[:-1]))
-    k = np.arange(M, dtype=np.int64) - np.repeat(starts, loads)
-    u = rng.random(M)
-    r = k + u
-    t_rows = P.prefix[v_rep] * loads[v_rep, None].astype(np.float64)
-    dest_col = (t_rows <= r[:, None]).sum(axis=1) - 1
-    np.minimum(dest_col, P.row_len[v_rep] - 1, out=dest_col)
-    dest = P.targets[v_rep, dest_col]
-    new = np.bincount(dest, minlength=n).astype(np.int64)
-    assert int(new.sum()) == M
-
+    v, k, starts = _tokens(loads)
+    r = k + rng.random(v.size)
+    dest = _token_dests(P, loads, v, r)
+    cfg = _conserved(np.bincount(dest, minlength=P.n), x.total)
     if trace:
-        cuts = np.cumsum(loads)[:-1]
-        tr = StepTrace(
-            loads_before=loads,
-            destinations=np.split(dest, cuts),
-            sampled=[np.ones(int(c), dtype=bool) for c in loads],
-            r_values=np.split(r, cuts),
-        )
-        return LoadConfig._wrap(new), tr
-    return LoadConfig._wrap(new)
+        return cfg, StepTrace._split(loads, starts, dest, np.ones(r.size, dtype=bool), r)
+    return cfg
 
 
 SAMPLERS = {"naive": step_naive, "batch": step_batch}
@@ -342,8 +306,7 @@ def step_send_floor2d(x: LoadConfig, g: Graph) -> LoadConfig:
     loads = x.loads
     q = loads // (2 * d)
     new = loads - d * q + _scatter_to_neighbors(g, np.repeat(q, d).reshape(g.n, d))
-    assert int(new.sum()) == x.total
-    return LoadConfig._wrap(new)
+    return _conserved(new, x.total)
 
 
 def step_send_round3d(x: LoadConfig, g: Graph) -> LoadConfig:
@@ -354,10 +317,9 @@ def step_send_round3d(x: LoadConfig, g: Graph) -> LoadConfig:
     loads = x.loads
     q = (2 * loads + 3 * d) // (6 * d)  # floor(x/(3d) + 1/2)
     new = loads - d * q + _scatter_to_neighbors(g, np.repeat(q, d).reshape(g.n, d))
-    assert int(new.sum()) == x.total
     if np.any(new < 0):
         raise ValidationError("negative load produced")  # unreachable for d >= 1
-    return LoadConfig._wrap(new)
+    return _conserved(new, x.total)
 
 
 def step_send_partition(x: LoadConfig, g: Graph) -> LoadConfig:
@@ -370,8 +332,7 @@ def step_send_partition(x: LoadConfig, g: Graph) -> LoadConfig:
     q, r = np.divmod(loads, d + 1)
     extra = (np.arange(d)[None, :] < r[:, None]).astype(np.int64)
     new = q + _scatter_to_neighbors(g, q[:, None] + extra)
-    assert int(new.sum()) == x.total
-    return LoadConfig._wrap(new)
+    return _conserved(new, x.total)
 
 
 def _partial_fisher_yates(rng, m: int, r: int) -> np.ndarray:
@@ -397,8 +358,7 @@ def step_rsend(x: LoadConfig, g: Graph, rng) -> LoadConfig:
         for slot in _partial_fisher_yates(rng, d + 1, int(r[v])):
             tgt = v if slot == d else int(nbrs[v, slot])
             new[tgt] += 1
-    assert int(new.sum()) == x.total
-    return LoadConfig._wrap(new)
+    return _conserved(new, x.total)
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +369,13 @@ def step_rsend(x: LoadConfig, g: Graph, rng) -> LoadConfig:
 def point_config(n: int, total: int) -> LoadConfig:
     """All loads on vertex 0 (the adversarial start)."""
     loads = np.zeros(n, dtype=np.int64)
-    loads[0] = total
+    loads[0] = _check_total(total)
     return LoadConfig._wrap(loads)
 
 
 def uniform_config(n: int, total: int) -> LoadConfig:
     """total // n everywhere; the remainder spread over the first vertices."""
-    base, rem = divmod(total, n)
+    base, rem = divmod(_check_total(total), n)
     loads = np.full(n, base, dtype=np.int64)
     loads[:rem] += 1
     return LoadConfig._wrap(loads)
@@ -424,21 +384,22 @@ def uniform_config(n: int, total: int) -> LoadConfig:
 def random_config(n: int, total: int, seed: int) -> LoadConfig:
     """Multinomial placement of `total` loads with a dedicated seed."""
     rng = np.random.default_rng(seed)
-    return LoadConfig._wrap(rng.multinomial(total, np.full(n, 1.0 / n)))
+    return LoadConfig._wrap(rng.multinomial(_check_total(total), np.full(n, 1.0 / n)))
 
 
 def config_from_preset(preset: str, n: int) -> LoadConfig:
     """Parse "point:M", "uniform:M" or "random:M:SEED"."""
-    parts = preset.split(":")
+    name, *params = preset.split(":")
     try:
-        if parts[0] == "point" and len(parts) == 2:
-            return point_config(n, int(parts[1]))
-        if parts[0] == "uniform" and len(parts) == 2:
-            return uniform_config(n, int(parts[1]))
-        if parts[0] == "random" and len(parts) == 3:
-            return random_config(n, int(parts[1]), int(parts[2]))
+        nums = [int(p) for p in params]
     except ValueError:
         raise ValidationError(f"bad number in loads preset {preset!r}") from None
+    if name == "point" and len(nums) == 1:
+        return point_config(n, *nums)
+    if name == "uniform" and len(nums) == 1:
+        return uniform_config(n, *nums)
+    if name == "random" and len(nums) == 2:
+        return random_config(n, *nums)
     raise ValidationError(f"unknown loads preset {preset!r}")
 
 

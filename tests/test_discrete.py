@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 
@@ -14,6 +15,7 @@ from diffusim import (
     deterministic_token_mask,
     gen_complete,
     gen_cycle,
+    gen_hypercube,
     gen_star,
     lazy_rw_matrix,
     metropolis_matrix,
@@ -29,7 +31,7 @@ from diffusim import (
     step_send_round3d,
     uniform_config,
 )
-from diffusim.discrete import SAMPLERS, loads_text, parse_loads_text
+from diffusim.discrete import MAX_TOTAL, SAMPLERS, loads_text, parse_loads_text
 from diffusim.verify import check_step_trace, figure_row_matrix, random_connected_graph
 
 
@@ -207,10 +209,41 @@ def test_traced_steps_match_invariants(lazy_cycle16):
         assert np.array_equal(recount, nxt.loads)
 
 
-def test_boundary_loads_accessor(lazy_triangle):
-    x = LoadConfig.from_loads([2, 0, 0])
-    _, tr = step_batch(x, lazy_triangle, np.random.default_rng(0), trace=True)
-    assert list(tr.boundary_loads(lazy_triangle, 0)) == [0]
+def test_batch_trace_consumes_the_same_draws(lazy_triangle):
+    # on [1, 3, 3] the single token of vertex 0 straddles two cuts and the
+    # others one each, so both routing branches run with and without trace
+    x = LoadConfig.from_loads([1, 3, 3])
+    for seed in range(200):
+        plain = step_batch(x, lazy_triangle, np.random.default_rng(seed))
+        traced, _ = step_batch(x, lazy_triangle, np.random.default_rng(seed), trace=True)
+        assert np.array_equal(plain.loads, traced.loads), seed
+
+
+def test_batch_trace_stream_pinned(lazy_cycle16):
+    # golden digest of every traced destination, draw flag and sample;
+    # a change means seeded runs route tokens differently
+    cfg = point_config(16, 160)
+    rng = np.random.default_rng(5)
+    h = hashlib.sha256()
+    for _ in range(300):
+        cfg, tr = step_batch(cfg, lazy_cycle16, rng, trace=True)
+        for dest, sampled, r in zip(tr.destinations, tr.sampled, tr.r_values):
+            h.update(dest.astype(np.int64).tobytes())
+            h.update(sampled.astype(bool).tobytes())
+            h.update(np.where(np.isnan(r), -1.0, r).tobytes())
+    assert h.hexdigest() == "36b7d4e6e984183bb36f018688fac28b6886289f73fca17da6eb36cd0cd075b2"
+
+
+def test_batch_stream_pinned_without_shared_cuts():
+    # about 64 tokens per vertex on a 10-entry row: no token straddles two
+    # cuts, so this pins the one-cut branch of the untraced stream
+    P = lazy_rw_matrix(gen_hypercube(9))
+    cfg = random_config(512, 32768, 7)
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        cfg = step_batch(cfg, P, rng)
+    digest = hashlib.sha256(cfg.loads.tobytes()).hexdigest()
+    assert digest == "67dfe3b706967c346adc65f144d9d3e6e605165c567449c4271aec0a8c74f0a2"
 
 
 def test_independence_of_token_destinations():
@@ -384,6 +417,22 @@ def test_load_config_validation():
     with pytest.raises(ValidationError):
         LoadConfig.from_loads([1.5, 2.0])
     assert LoadConfig.from_loads([1.0, 2.0]).total == 3
+
+
+def test_totals_capped_at_2_pow_53():
+    P = lazy_rw_matrix(gen_cycle(8))
+    rng = np.random.default_rng(0)
+    cfg = point_config(8, MAX_TOTAL)
+    for _ in range(3):
+        cfg = step_batch(cfg, P, rng)
+        assert cfg.total == MAX_TOTAL
+    for make in (point_config, uniform_config, lambda n, t: random_config(n, t, 0)):
+        with pytest.raises(ValidationError, match="exceeds"):
+            make(8, MAX_TOTAL + 1)
+    with pytest.raises(ValidationError, match="exceeds"):
+        LoadConfig.from_loads([MAX_TOTAL, 1])
+    with pytest.raises(ValidationError, match="exceeds"):
+        LoadConfig.from_loads([2**62, 2**62])  # an int64 sum would wrap
 
 
 def test_loads_text_round_trip():

@@ -1,6 +1,13 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import diffusim
 from diffusim import ValidationError, convergence_time, lazy_rw_matrix, gen_cycle
 from diffusim.cli import main
 from diffusim.harness import (
@@ -98,6 +105,9 @@ def test_csv_header_and_determinism(tmp_path):
     simulate_to_csv(spec, out1)
     simulate_to_csv(spec, out2)
     assert out1.read_bytes() == out2.read_bytes()
+    # golden digest: pins how alg2-batch consumes each trial's generator
+    digest = hashlib.sha256(out1.read_bytes()).hexdigest()
+    assert digest == "ac96e1e43426861f597b2eed7153eace5a382cc642bc4814d866206efff86e27"
 
 
 def test_rows_cover_stride_and_endpoints():
@@ -181,6 +191,34 @@ def test_cli_bounds_star_metropolis(capsys):
 def test_cli_lazy_rw_on_irregular_is_validation_error(capsys):
     assert main(["bounds", "--graph", "star:8", "--matrix", "lazy-rw"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("graph, loads", [
+    ("cycle:8", "point:9007199254740999"),      # 2**53 + 7
+    ("cycle:8", "point:99999999999999999999"),  # beyond int64
+    ("complete:2", "file"),                      # two lines of 2**62: the int64 sum wraps
+])
+def test_cli_oversize_total_exit_2(tmp_path, capsys, graph, loads):
+    if loads == "file":
+        path = tmp_path / "loads.txt"
+        path.write_text(f"{2**62}\n{2**62}\n")
+        loads = f"file:{path}"
+    assert main(["simulate", "--graph", graph, "--loads", loads, "--steps", "3",
+                 "--out", str(tmp_path / "o.csv")]) == 2
+    assert "exceeds 2**53" in capsys.readouterr().err
+
+
+def test_cli_oversize_total_exit_2_under_optimize(tmp_path):
+    # python -O strips assert statements; the cap must hold without them
+    src = str(Path(diffusim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "diffusim", "simulate", "--graph", "cycle:8",
+         "--loads", "point:9007199254740999", "--steps", "3", "--out", str(tmp_path / "o.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "exceeds 2**53" in proc.stderr
 
 
 def test_cli_usage_error_exit_1(capsys):
