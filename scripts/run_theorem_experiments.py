@@ -15,24 +15,11 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from diffusim.graphs import Graph, edge_list_text  # noqa: E402
+from diffusim.graphs import edge_list_text  # noqa: E402
 from diffusim.harness import ExperimentSpec, run_experiment, write_csv  # noqa: E402
-
-
-def seeded_irregular_graph(n=128, chords=64, seed=5) -> Graph:
-    rng = np.random.default_rng(seed)
-    edges = {(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)}
-    added = 0
-    while added < chords:
-        u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
-        if u != v and (min(u, v), max(u, v)) not in edges:
-            edges.add((min(u, v), max(u, v)))
-            added += 1
-    return Graph.from_edges(n, edges)
+from diffusim.verify import seeded_irregular_graph  # noqa: E402
 
 
 def final_fraction_ok(rows: list[str], col: int) -> tuple[float, int]:

@@ -1,7 +1,6 @@
 """Randomized diffusion load balancing: simulators, oracles, and bounds."""
 
 from .analysis import (
-    BoundReport,
     DivergenceReport,
     bound_theorem1,
     bound_theorem2,

@@ -7,7 +7,7 @@ symmetric chain counts each edge twice. Every report echoes its inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,14 +77,8 @@ def local_p_divergence(P: RoundMatrix, p: int = 2, tol: float = PSI_TOL_DEFAULT,
         else:
             t_max = PSI_T_MAX_FALLBACK
 
-    vi, ui = [], []
-    for v in range(P.n):
-        for u in P.row(v).targets:
-            if int(u) != v:
-                vi.append(v)
-                ui.append(int(u))
-    vi = np.array(vi, dtype=np.int64)
-    ui = np.array(ui, dtype=np.int64)
+    off = P.rows != P.targets
+    vi, ui = P.rows[off], P.targets[off]
 
     dense = P.dense()
     M_t = np.eye(P.n)
@@ -122,12 +116,7 @@ def local_p_divergence(P: RoundMatrix, p: int = 2, tol: float = PSI_TOL_DEFAULT,
             pi = cl.pi
             M_next = M_t @ dense
             diag = np.einsum("ij,ji->i", M_next, M_next)  # P^{2(t+1)} diagonal
-            min_flow = float(min(
-                pi[v] * p_
-                for v in range(P.n)
-                for u_, p_ in zip(P.row(v).targets, P.row(v).probs)
-            ))
-            tail = float(np.max(2.0 * pi * np.maximum(diag - pi, 0.0)) / min_flow)
+            tail = float(np.max(2.0 * pi * np.maximum(diag - pi, 0.0)) / _min_flow(P, pi))
     return DivergenceReport(
         p=p,
         value=float(acc[w] ** (1.0 / p)),
@@ -143,8 +132,13 @@ def dirichlet_form(f, P: RoundMatrix, pi: np.ndarray) -> float:
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (P.n,) or np.asarray(pi).shape != (P.n,):
         raise ValidationError("vector/matrix dimension mismatch")
-    diffs = f[:, None] - f[P.targets]
-    return float(0.5 * np.sum(diffs * diffs * (np.asarray(pi)[:, None] * P.probs)))
+    diffs = f[P.rows] - f[P.targets]
+    return float(0.5 * np.sum(diffs * diffs * (np.asarray(pi)[P.rows] * P.probs)))
+
+
+def _min_flow(P: RoundMatrix, pi: np.ndarray) -> float:
+    """Smallest positive edge flow pi_v P[v,u], self-loops included."""
+    return float((pi[P.rows] * P.probs).min())
 
 
 def dirichlet_identity_check(P: RoundMatrix, w: int, t: int,
@@ -181,12 +175,7 @@ def psi2_bound_reversible(P: RoundMatrix, pi: np.ndarray | None = None) -> float
         raise UnsupportedMatrixError("bound requires a reversible chain")
     if pi is None:
         pi = cl.pi
-    min_flow = min(
-        float(pi[v]) * float(p_)
-        for v in range(P.n)
-        for p_ in P.row(v).probs
-    )
-    return math.sqrt(2.0 * float(pi.max()) / min_flow)
+    return math.sqrt(2.0 * float(pi.max()) / _min_flow(P, pi))
 
 
 def psi2_bound_symmetric(P: RoundMatrix) -> float:
@@ -234,18 +223,3 @@ def bound_theorem5(psi2: float, N: int) -> float:
     if psi2 <= 0:
         raise ValidationError(f"psi2 must be positive, got {psi2}")
     return 9.0 * psi2 * math.sqrt(_check_log_arg(N))
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One theorem bound with the inputs that produced it."""
-
-    theorem: str
-    bound: float
-    inputs: dict[str, float] = field(default_factory=dict)
-
-    def to_lines(self) -> list[str]:
-        lines = [f"{self.theorem}={self.bound:.12g}"]
-        for key in sorted(self.inputs):
-            lines.append(f"{self.theorem}.{key}={self.inputs[key]:.12g}")
-        return lines

@@ -3,10 +3,10 @@
 At vertex v holding x_v tokens, token k samples a number r uniformly from
 [k/x_v, (k+1)/x_v) and moves to the neighbor whose row interval contains r.
 All routing here happens in "token units": the sample is k + U and the row
-prefix sums are scaled by x_v. This avoids forming k/x_v and (k+1)/x_v
+interval ends are scaled by x_v. This avoids forming k/x_v and (k+1)/x_v
 separately (cancellation at large x_v) and gives both samplers identical
-boundary semantics. Intervals are half-open; a sample landing exactly on a
-prefix boundary routes to the interval on its right. Token units are
+boundary semantics. Intervals are half-open; a sample landing exactly on an
+interval boundary routes to the interval on its right. Token units are
 float64, which counts exactly only up to 2**53, so configurations built
 from outside input reject totals above MAX_TOTAL.
 
@@ -156,7 +156,7 @@ def deterministic_token_mask(P: RoundMatrix, v: int, x_v: int) -> np.ndarray:
     boundary falls strictly inside its window; there are at most two such
     tokens per row interval.
     """
-    cuts = P.row(v).prefix[1:-1] * float(x_v)  # internal boundaries in token units
+    cuts = P.row(v).ends[:-1] * float(x_v)  # internal boundaries in token units
     kb = np.floor(cuts)
     mask = np.ones(x_v, dtype=bool)
     mask[kb[cuts != kb].astype(np.int64)] = False
@@ -164,31 +164,35 @@ def deterministic_token_mask(P: RoundMatrix, v: int, x_v: int) -> np.ndarray:
 
 
 def _route(loads: np.ndarray, P: RoundMatrix, rng):
-    """step_batch's routing of one round: (interior, v, k, u, col).
+    """step_batch's routing of one round: (interior, v, k, u, e).
 
-    interior[v, i] counts the tokens of v whose window [k, k+1) lies inside
-    row interval i. Boundary token k of vertex v drew u and goes to row
-    column col. Boundary tokens are in row-major order, by vertex and then
+    interior[i] counts the tokens whose window [k, k+1) lies inside the
+    interval of matrix entry i. Boundary token k of vertex v drew u and goes
+    to entry e. Boundary tokens are in row-major order, by vertex and then
     token, and all their uniforms come from one rng.random call.
     """
-    T = P.prefix * loads[:, None].astype(np.float64)  # (n, w+1) token-unit boundaries
-    flo = np.floor(T)
-    interior = flo[:, 1:] - np.ceil(T[:, :-1])
+    hi = P.ends * loads[P.rows].astype(np.float64)  # interval ends in token units
+    flo = np.floor(hi)
+    lo = np.empty_like(hi)                          # interval starts
+    lo[1:] = hi[:-1]
+    lo[P.indptr[:-1]] = 0.0
+    interior = flo - np.ceil(lo)
     np.maximum(interior, 0.0, out=interior)
-    v, j = np.nonzero(T[:, 1:-1] != flo[:, 1:-1])  # internal cuts inside a window
-    k = flo[v, j + 1]
-    cut = T[v, j + 1] - k                          # the cut's offset in token k's window
+    e = np.flatnonzero(hi != flo)  # cuts inside a window; a row's last end x_v is whole
+    v = P.rows[e]
+    k = flo[e]
+    cut = hi[e] - k                # the cut's offset in token k's window
     shared = (v[1:] == v[:-1]) & (k[1:] == k[:-1])  # the next cut splits the same token
     if not shared.any():
-        u = rng.random(v.size)
-        return interior, v, k, u, j + (u >= cut)
+        u = rng.random(e.size)
+        return interior, v, k, u, e + (u >= cut)
     # a token straddling several cuts draws once and goes left of the first
     # cut above u, or right of its last cut
     start = np.concatenate(([True], ~shared))
     first = np.flatnonzero(start)
     u = rng.random(first.size)
     below = cut <= u[np.cumsum(start) - 1]
-    return interior, v[first], k[first], u, j[first] + np.add.reduceat(below, first)
+    return interior, v[first], k[first], u, e[first] + np.add.reduceat(below, first)
 
 
 def _tokens(loads: np.ndarray):
@@ -199,16 +203,25 @@ def _tokens(loads: np.ndarray):
     return v, np.arange(v.size) - starts[v], starts
 
 
-def _token_dests(P: RoundMatrix, loads: np.ndarray, v: np.ndarray, r: np.ndarray):
-    """Row target whose interval holds r[i], for a token at vertex v[i].
+def _token_dests(P: RoundMatrix, loads: np.ndarray, starts: np.ndarray, v: np.ndarray,
+                 r: np.ndarray) -> np.ndarray:
+    """Row target whose interval holds r[i], for every token i in _tokens order.
 
-    r is in token units; the last interval also takes a point that rounded
-    up onto the row's top end x_v.
+    r is in token units, so token k's sample lies in [k, k+1]; the last
+    interval also takes a point that rounded up onto the row's top end x_v.
+    Each interval end hi of a loaded row falls in the window (k, k+1] of
+    exactly one token, k = ceil(hi) - 1, so a token's column counts the
+    ends in earlier windows plus the ends in its own window at or below r.
     """
-    t_rows = P.prefix[v] * loads[v, None].astype(np.float64)
-    col = (t_rows <= r[:, None]).sum(axis=1) - 1
-    np.minimum(col, P.row_len[v] - 1, out=col)
-    return P.targets[v, col]
+    x = loads[P.rows]
+    e = np.flatnonzero(x)
+    hi = P.ends[e] * x[e].astype(np.float64)
+    at = starts[P.rows[e]] + np.ceil(hi).astype(np.int64) - 1  # the window holding each end
+    per_window = np.bincount(at, minlength=r.size)
+    earlier = np.cumsum(per_window) - per_window
+    col = earlier - earlier[starts[v]] + np.bincount(at, weights=hi <= r[at], minlength=r.size)
+    entry = np.minimum(P.indptr[v] + col.astype(np.int64), P.indptr[v + 1] - 1)
+    return P.targets[entry]
 
 
 def step_batch(x: LoadConfig, P: RoundMatrix, rng, trace: bool = False):
@@ -223,20 +236,22 @@ def step_batch(x: LoadConfig, P: RoundMatrix, rng, trace: bool = False):
     if x.n != P.n:
         raise ValidationError(f"config has {x.n} vertices, matrix has {P.n}")
     loads = x.loads
-    interior, v, k, u, col = _route(loads, P, rng)
-    dest = P.targets[v, col]
-    new = np.bincount(P.targets.ravel(), weights=interior.ravel(), minlength=P.n)
+    interior, v, k, u, e = _route(loads, P, rng)
+    dest = P.targets[e]
+    new = np.bincount(P.targets, weights=interior, minlength=P.n)
     new = np.rint(new).astype(np.int64) + np.bincount(dest, minlength=P.n)
     cfg = _conserved(new, x.total)
     if not trace:
         return cfg
-    tv, tk, starts = _tokens(loads)
-    dests = _token_dests(P, loads, tv, tk)
+    starts = np.cumsum(loads) - loads
     at = starts[v] + k.astype(np.int64)
-    dests[at] = dest
-    sampled = np.zeros(tv.size, dtype=bool)
+    sampled = np.zeros(x.total, dtype=bool)
     sampled[at] = True
-    r = np.full(tv.size, np.nan)
+    dests = np.empty(x.total, dtype=np.int64)
+    dests[at] = dest
+    # the other tokens fill each interval's whole windows in row order
+    dests[~sampled] = np.repeat(P.targets, interior.astype(np.int64))
+    r = np.full(x.total, np.nan)
     r[at] = k + u
     return cfg, StepTrace._split(loads, starts, dests, sampled, r)
 
@@ -252,7 +267,7 @@ def step_naive(x: LoadConfig, P: RoundMatrix, rng, trace: bool = False):
     loads = x.loads
     v, k, starts = _tokens(loads)
     r = k + rng.random(v.size)
-    dest = _token_dests(P, loads, v, r)
+    dest = _token_dests(P, loads, starts, v, r)
     cfg = _conserved(np.bincount(dest, minlength=P.n), x.total)
     if trace:
         return cfg, StepTrace._split(loads, starts, dest, np.ones(r.size, dtype=bool), r)

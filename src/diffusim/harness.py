@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, continuous, discrete, graphs, matrices
-from .errors import DiffusimError, ValidationError
+from .errors import DiffusimError, SizeLimitError, ValidationError
 
 CSV_HEADER = "trial,t,disc,max_dev,bound_thm3,bound_thm1_or_2,viol_thm3,viol_disc"
 ALGORITHMS = (
@@ -151,7 +151,11 @@ def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
 
     lam = None
     if P.symmetric and P.irreducible:
-        lam = matrices.second_eigenvalue(P)
+        try:
+            lam = matrices.second_eigenvalue(P)
+        except SizeLimitError:
+            if spec.steps == "auto":  # only the auto step count needs lambda
+                raise
 
     if spec.steps == "auto":
         disc0 = analysis.discrepancy(x0.loads)

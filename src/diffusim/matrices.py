@@ -1,19 +1,22 @@
 """Round (transition) matrices: construction, validation, spectra.
 
-A round matrix is row-stochastic and stored row-wise in a fixed interval
-order: non-self neighbors by ascending index, then the self-loop entry last.
-The running prefix sums of each row partition [0, 1) into half-open
-intervals, one per positive entry; the discrete sampler routes tokens by
-where a random number falls among these intervals. Keeping the self
-interval on top of [0, 1) makes the lazy-random-walk instance behave as
-"stay if the sample lands in [1/2, 1)".
+A round matrix is row-stochastic and stored as flat per-entry arrays, row
+after row, each row in a fixed interval order: non-self neighbors by
+ascending index, then the self-loop entry last. The running sums of each
+row partition [0, 1) into half-open intervals, one per positive entry; the
+discrete sampler routes tokens by where a random number falls among these
+intervals. Keeping the self interval on top of [0, 1) makes the
+lazy-random-walk instance behave as "stay if the sample lands in [1/2, 1)".
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from .errors import (
     NotConvergedError,
@@ -32,28 +35,33 @@ DENSE_LIMIT = 4096
 
 
 class RowView(NamedTuple):
-    """One matrix row in interval order."""
+    """One matrix row in interval order: slices of the matrix's flat arrays."""
 
     targets: np.ndarray   # neighbor indices, self last when present
     probs: np.ndarray     # positive probabilities, same order
-    prefix: np.ndarray    # len(targets)+1 running sums; prefix[0]=0, prefix[-1]=1
+    ends: np.ndarray      # running sums: interval i is [ends[i-1], ends[i]); ends[-1]=1
+
+    @property
+    def prefix(self) -> np.ndarray:
+        """The interval boundaries, 0 first: len(targets)+1 entries."""
+        return np.concatenate(([0.0], self.ends))
 
 
 @dataclass(eq=False)
 class RoundMatrix:
-    """Validated row-stochastic matrix with per-row interval layout.
+    """Validated row-stochastic matrix in a flat per-entry interval layout.
 
-    Arrays are padded to the widest row so steps can vectorize across
-    vertices: `targets` pads with the row's own vertex, `probs` with 0,
-    `prefix` with 1.0. Rows are immutable after construction (the arrays
-    are marked read-only) so matrices can be shared across trials.
+    Entry e lies in row rows[e]; row v holds entries indptr[v]:indptr[v+1]
+    in interval order, so memory is O(n + nnz) on any degree profile. The
+    arrays are marked read-only so matrices can be shared across trials.
     """
 
     n: int
-    targets: np.ndarray   # (n, width) int64
-    probs: np.ndarray     # (n, width) float64
-    prefix: np.ndarray    # (n, width+1) float64
-    row_len: np.ndarray   # (n,) int64
+    indptr: np.ndarray    # (n+1,) int64: row v is entries indptr[v]:indptr[v+1]
+    rows: np.ndarray      # (nnz,) int64: the row of each entry
+    targets: np.ndarray   # (nnz,) int64
+    probs: np.ndarray     # (nnz,) float64, all positive
+    ends: np.ndarray      # (nnz,) float64: interval ends, exactly 1.0 at a row's end
     symmetric: bool
     lazy: bool
     irreducible: bool
@@ -63,14 +71,17 @@ class RoundMatrix:
         """Validate and canonicalize per-vertex (neighbor, probability) lists.
 
         Zero entries are dropped; negative entries and row sums away from 1
-        (beyond 1e-12) are rejected with the offending row named. The final
-        prefix entry is pinned to exactly 1.0 (a shift within the row-sum
-        tolerance) so interval arithmetic has an exact top end.
+        (beyond 1e-12) are rejected with the offending row named. The last
+        interval end of a row is pinned to exactly 1.0 (a shift within the
+        row-sum tolerance) so interval arithmetic has an exact top end.
         """
         n = len(rows)
         if n < 1:
             raise ValidationError("matrix needs at least one row")
-        canon: list[tuple[list[int], list[float]]] = []
+        targets: list[int] = []
+        probs: list[float] = []
+        ends: list[float] = []
+        row_len = np.empty(n, dtype=np.int64)
         for v, row in enumerate(rows):
             acc: dict[int, float] = {}
             for u, p in row:
@@ -89,123 +100,62 @@ class RoundMatrix:
             order = sorted(u for u in acc if u != v)
             if v in acc:
                 order.append(v)
-            canon.append((order, [acc[u] for u in order]))
+            pr = [acc[u] for u in order]
+            row_len[v] = len(order)
+            targets += order
+            probs += pr
+            ends += accumulate(pr[:-1])
+            ends.append(1.0)
 
-        width = max(len(t) for t, _ in canon)
-        targets = np.empty((n, width), dtype=np.int64)
-        probs = np.zeros((n, width), dtype=np.float64)
-        prefix = np.ones((n, width + 1), dtype=np.float64)
-        row_len = np.empty(n, dtype=np.int64)
-        for v, (tgt, pr) in enumerate(canon):
-            m = len(tgt)
-            row_len[v] = m
-            targets[v, :m] = tgt
-            targets[v, m:] = v
-            probs[v, :m] = pr
-            prefix[v, 0] = 0.0
-            prefix[v, 1:m] = np.cumsum(pr[:-1])
-            prefix[v, m:] = 1.0
-
-        symmetric = _is_symmetric(n, canon)
-        lazy = _is_lazy(n, canon)
-        irreducible = _is_irreducible(n, canon)
-        for arr in (targets, probs, prefix, row_len):
+        indptr = np.concatenate(([0], np.cumsum(row_len)))
+        targets = np.array(targets, dtype=np.int64)
+        probs = np.array(probs, dtype=np.float64)
+        arrays = (indptr, np.repeat(np.arange(n), row_len), targets, probs, np.array(ends))
+        for arr in arrays:
             arr.flags.writeable = False
+        S = sparse.csr_matrix((probs, targets, indptr), shape=(n, n))
+        last = indptr[1:] - 1
+        diag = np.where(targets[last] == np.arange(n), probs[last], 0.0)
         return cls(
-            n=n,
-            targets=targets,
-            probs=probs,
-            prefix=prefix,
-            row_len=row_len,
-            symmetric=symmetric,
-            lazy=lazy,
-            irreducible=irreducible,
+            n,
+            *arrays,
+            symmetric=_max_abs(S - S.T) <= CLASSIFY_TOL,
+            lazy=bool(np.all(diag >= 0.5 - CLASSIFY_TOL)),
+            irreducible=bool(csgraph.connected_components(S, connection="strong")[0] == 1),
         )
 
     def row(self, v: int) -> RowView:
-        m = int(self.row_len[v])
-        return RowView(self.targets[v, :m], self.probs[v, :m], self.prefix[v, : m + 1])
+        s = slice(self.indptr[v], self.indptr[v + 1])
+        return RowView(self.targets[s], self.probs[s], self.ends[s])
 
     def entry(self, v: int, u: int) -> float:
         """P[v, u]; exactly 0.0 for absent entries."""
-        m = int(self.row_len[v])
-        tgt = self.targets[v, :m]
-        hits = np.nonzero(tgt == u)[0]
-        return float(self.probs[v, hits[0]]) if hits.size else 0.0
-
-    def diagonal(self) -> np.ndarray:
-        """Self-loop probabilities (0 where absent)."""
-        diag = np.zeros(self.n)
-        last = self.row_len - 1
-        rows = np.arange(self.n)
-        selfpos = self.targets[rows, last] == rows
-        diag[selfpos] = self.probs[rows[selfpos], last[selfpos]]
-        return diag
+        rv = self.row(v)
+        hits = np.flatnonzero(rv.targets == u)
+        return float(rv.probs[hits[0]]) if hits.size else 0.0
 
     def dense(self) -> np.ndarray:
         """Dense (n, n) copy; refuses above DENSE_LIMIT."""
         if self.n > DENSE_LIMIT:
             raise SizeLimitError(f"dense form refused for n={self.n} > {DENSE_LIMIT}")
         out = np.zeros((self.n, self.n))
-        rows = np.repeat(np.arange(self.n), self.targets.shape[1])
-        np.add.at(out, (rows, self.targets.ravel()), self.probs.ravel())
+        out[self.rows, self.targets] = self.probs
         return out
 
     def min_positive_entry(self) -> float:
-        return float(self.probs[self.probs > 0].min())
+        return float(self.probs.min())
 
     def to_text(self) -> str:
         """Serialize as a header line "n" then "v u p" lines."""
         lines = [str(self.n)]
-        for v in range(self.n):
-            rv = self.row(v)
-            for u, p in zip(rv.targets, rv.probs):
-                lines.append(f"{v} {int(u)} {float(p)!r}")
+        for v, u, p in zip(self.rows.tolist(), self.targets.tolist(), self.probs.tolist()):
+            lines.append(f"{v} {u} {p!r}")
         return "\n".join(lines) + "\n"
 
 
-def _is_symmetric(n: int, canon) -> bool:
-    entries: dict[tuple[int, int], float] = {}
-    for v, (tgt, pr) in enumerate(canon):
-        for u, p in zip(tgt, pr):
-            entries[(v, u)] = p
-    for (v, u), p in entries.items():
-        if abs(p - entries.get((u, v), 0.0)) > CLASSIFY_TOL:
-            return False
-    return True
-
-
-def _is_lazy(n: int, canon) -> bool:
-    for v, (tgt, pr) in enumerate(canon):
-        diag = pr[-1] if tgt and tgt[-1] == v else 0.0
-        if diag < 0.5 - CLASSIFY_TOL:
-            return False
-    return True
-
-
-def _is_irreducible(n: int, canon) -> bool:
-    """Strong connectivity of the positive-entry digraph."""
-    fwd = [[u for u in tgt if u != v] for v, (tgt, _) in enumerate(canon)]
-    rev: list[list[int]] = [[] for _ in range(n)]
-    for v, outs in enumerate(fwd):
-        for u in outs:
-            rev[u].append(v)
-
-    def reaches_all(adj) -> bool:
-        seen = [False] * n
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    count += 1
-                    stack.append(y)
-        return count == n
-
-    return reaches_all(fwd) and reaches_all(rev)
+def _max_abs(A) -> float:
+    """Largest |entry| of a sparse matrix; 0.0 when it stores none."""
+    return float(abs(A).max()) if A.nnz else 0.0
 
 
 def lazy_rw_matrix(g: Graph) -> RoundMatrix:
@@ -310,12 +260,9 @@ def stationary_distribution(P: RoundMatrix, max_iter: int = 500_000) -> np.ndarr
 
 def is_reversible(P: RoundMatrix, pi: np.ndarray) -> bool:
     """Detailed balance pi_v P[v,u] == pi_u P[u,v] within 1e-10."""
-    for v in range(P.n):
-        rv = P.row(v)
-        for u, p in zip(rv.targets, rv.probs):
-            if abs(pi[v] * p - pi[int(u)] * P.entry(int(u), v)) > DETAILED_BALANCE_TOL:
-                return False
-    return True
+    flow = sparse.csr_matrix((np.asarray(pi)[P.rows] * P.probs, P.targets, P.indptr),
+                             shape=(P.n, P.n))
+    return _max_abs(flow - flow.T) <= DETAILED_BALANCE_TOL
 
 
 def classify(P: RoundMatrix) -> Classification:
@@ -334,9 +281,8 @@ def power_apply(x: np.ndarray, P: RoundMatrix, t: int) -> np.ndarray:
     if x.shape != (P.n,):
         raise ValidationError(f"vector has shape {x.shape}, expected ({P.n},)")
     y = x.copy()
-    flat_targets = P.targets.ravel()
     for _ in range(t):
-        y = np.bincount(flat_targets, weights=(y[:, None] * P.probs).ravel(), minlength=P.n)
+        y = np.bincount(P.targets, weights=y[P.rows] * P.probs, minlength=P.n)
     return y
 
 

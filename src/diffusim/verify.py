@@ -56,6 +56,19 @@ def random_connected_graph(n: int, rng, extra_edges: int | None = None) -> graph
     return graphs.Graph.from_edges(n, edges)
 
 
+def seeded_irregular_graph(n: int = 128, chords: int = 64, seed: int = 5) -> graphs.Graph:
+    """Cycle backbone plus seeded random chords: connected, degrees 2..~6."""
+    rng = np.random.default_rng(seed)
+    edges = {(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)}
+    added = 0
+    while added < chords:
+        u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
+        if u != v and (min(u, v), max(u, v)) not in edges:
+            edges.add((min(u, v), max(u, v)))
+            added += 1
+    return graphs.Graph.from_edges(n, edges)
+
+
 def random_reversible_lazy_chain(n: int, rng):
     """Random edge-weighted lazy walk: P[v,u] = w_vu / (2 W_v), self 1/2.
 

@@ -7,7 +7,6 @@ real CLI/harness path with fixed seeds.
 import math
 import time
 
-import numpy as np
 import pytest
 
 from diffusim import (
@@ -19,9 +18,10 @@ from diffusim import (
     second_eigenvalue,
 )
 from diffusim.cli import main
-from diffusim.graphs import Graph, edge_list_text
+from diffusim.graphs import edge_list_text
 from diffusim.harness import CSV_HEADER
 from diffusim import verify
+from diffusim.verify import seeded_irregular_graph
 
 FRACTION_FLOOR = 0.95
 TRIALS = 200
@@ -103,23 +103,6 @@ def test_criterion_4_theorem1_discrepancy(tmp_path):
     _report(4, "theorem-1 discrepancy", frac >= FRACTION_FLOOR,
             f"{frac:.3f} of {TRIALS} trials under 18*sqrt(4 ln 128)={bound:.3g} "
             f"(max disc {max(discs)})", budget=120, elapsed=time.time() - t0)
-
-
-def seeded_irregular_graph(n=128, chords=64, seed=5) -> Graph:
-    """Cycle backbone plus seeded random chords: connected, degrees 2..~6."""
-    rng = np.random.default_rng(seed)
-    edges = {(i, (i + 1) % n) for i in range(n)}
-    edges = {(min(a, b), max(a, b)) for a, b in edges}
-    added = 0
-    while added < chords:
-        u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
-        if u == v:
-            continue
-        e = (min(u, v), max(u, v))
-        if e not in edges:
-            edges.add(e)
-            added += 1
-    return Graph.from_edges(n, edges)
 
 
 def test_criterion_5_theorem2_discrepancy(tmp_path):

@@ -30,7 +30,6 @@ from diffusim import (
     psi2_bound_symmetric,
     stationary_distribution,
 )
-from diffusim.analysis import BoundReport
 from diffusim.verify import (
     random_reversible_lazy_chain,
     random_symmetric_lazy_chain,
@@ -290,9 +289,3 @@ def test_bounds_reject_degenerate():
     with pytest.raises(ValidationError):
         bound_theorem2(0, 16)
 
-
-def test_bound_report_lines():
-    rep = BoundReport("thm1", 79.3, {"d": 4, "N": 128})
-    lines = rep.to_lines()
-    assert lines[0].startswith("thm1=")
-    assert any(line.startswith("thm1.N=") for line in lines)

@@ -227,11 +227,42 @@ def test_batch_trace_stream_pinned(lazy_cycle16):
     h = hashlib.sha256()
     for _ in range(300):
         cfg, tr = step_batch(cfg, lazy_cycle16, rng, trace=True)
-        for dest, sampled, r in zip(tr.destinations, tr.sampled, tr.r_values):
-            h.update(dest.astype(np.int64).tobytes())
-            h.update(sampled.astype(bool).tobytes())
-            h.update(np.where(np.isnan(r), -1.0, r).tobytes())
+        _trace_digest(h, tr)
     assert h.hexdigest() == "36b7d4e6e984183bb36f018688fac28b6886289f73fca17da6eb36cd0cd075b2"
+
+
+def _trace_digest(h, tr):
+    for dest, sampled, r in zip(tr.destinations, tr.sampled, tr.r_values):
+        h.update(dest.astype(np.int64).tobytes())
+        h.update(sampled.astype(bool).tobytes())
+        h.update(np.where(np.isnan(r), -1.0, r).tobytes())
+
+
+@pytest.mark.parametrize("graph, matrix, preset, steps, digest", [
+    (gen_cycle(16), lazy_rw_matrix, "point:160", 200, "8d730c9f11de6e2be9f3a52f8804ef0b8763a47f6bd6f30933271a4748df1f9f"),
+    (gen_star(64), metropolis_matrix, "random:2048:3", 20, "d9658d817d6c181319f8ffa0c2b1ef8a191a395e7b6fc574d29742ecee5f3dbd"),
+])
+def test_naive_stream_pinned(graph, matrix, preset, steps, digest):
+    # golden digest of every untraced naive configuration: one uniform per
+    # token, by vertex then token, looked up in that vertex's row intervals
+    P = matrix(graph)
+    cfg = config_from_preset(preset, P.n)
+    rng = np.random.default_rng(5)
+    h = hashlib.sha256()
+    for _ in range(steps):
+        cfg = step_naive(cfg, P, rng)
+        h.update(cfg.loads.tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_naive_trace_stream_pinned(lazy_cycle16):
+    cfg = point_config(16, 160)
+    rng = np.random.default_rng(5)
+    h = hashlib.sha256()
+    for _ in range(50):
+        cfg, tr = step_naive(cfg, lazy_cycle16, rng, trace=True)
+        _trace_digest(h, tr)
+    assert h.hexdigest() == "3c02f5c0af4df339c89902d802b6e732b1d3211a75f005c758905f94f2d4d3e2"
 
 
 def test_batch_stream_pinned_without_shared_cuts():

@@ -193,6 +193,24 @@ def test_cli_lazy_rw_on_irregular_is_validation_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["--graph", "cycle:5000", "--steps", "10"],
+    ["--graph", "star:5000", "--matrix", "metropolis", "--steps", "3"],
+])
+def test_cli_simulate_above_dense_limit(tmp_path, args):
+    # only --steps auto needs lambda; the dense cap leaves lambda= and psi2= blank
+    out = tmp_path / "big.csv"
+    assert main(["simulate", *args, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert any(ln.startswith("# lambda= psi2= bound_thm3= ") for ln in lines)
+    assert lines[-1].startswith(f"0,{args[-1]},")
+
+
+def test_cli_steps_auto_above_dense_limit_exit_2(tmp_path, capsys):
+    assert main(["simulate", "--graph", "cycle:5000", "--out", str(tmp_path / "o.csv")]) == 2
+    assert "above dense eigensolver limit" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("graph, loads", [
     ("cycle:8", "point:9007199254740999"),      # 2**53 + 7
     ("cycle:8", "point:99999999999999999999"),  # beyond int64

@@ -220,6 +220,16 @@ def test_uniform_pi_for_symmetric_irreducible():
         assert np.max(np.abs(pi - 1.0 / g.n)) <= 1e-10
 
 
+def test_layout_is_linear_in_entries():
+    # a star's hub row holds n entries and every leaf row 2; a layout padded
+    # to the widest row would hold n * (n + 1) entries
+    P = metropolis_matrix(gen_star(3000))
+    nnz = 3 * 3000 - 2
+    assert P.targets.size == nnz
+    layout = sum(v.nbytes for v in vars(P).values() if isinstance(v, np.ndarray))
+    assert layout <= 64 * (P.n + nnz)
+
+
 def test_matrix_text_round_trip(lazy_triangle):
     P2 = matrix_from_text(lazy_triangle.to_text())
     assert np.array_equal(P2.dense(), lazy_triangle.dense())
