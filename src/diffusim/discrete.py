@@ -126,26 +126,21 @@ class StepTrace:
         return cls(loads_before=loads, destinations=[dest[s] for s in spans],
                    sampled=[sampled[s] for s in spans], r_values=[r[s] for s in spans])
 
-    def sent_counts(self) -> dict[tuple[int, int], int]:
-        """(v, u) -> number of tokens sent from v to u this step."""
-        out: dict[tuple[int, int], int] = {}
-        for v, dests in enumerate(self.destinations):
-            for u, c in zip(*np.unique(dests, return_counts=True)):
-                out[(v, int(u))] = int(c)
-        return out
 
-
-def destination_distribution(row: RowView, x_v: int, k: int) -> np.ndarray:
+def destination_distribution(row: RowView, x_v: int, k) -> np.ndarray:
     """Probability of token k landing on each row target.
 
     Each entry is the overlap of [k/x_v, (k+1)/x_v) with the target's row
     interval, times x_v; computed in token units so no division happens.
+    k is one token index, giving one row, or a 1-d array of them, giving
+    one row per index.
     """
-    if not (0 <= k < x_v):
+    k = np.asarray(k)
+    if k.min() < 0 or k.max() >= x_v:
         raise ValidationError(f"token index {k} out of range for {x_v} loads")
     t = row.prefix * float(x_v)
-    lo, hi = float(k), float(k + 1)
-    p = np.minimum(hi, t[1:]) - np.maximum(lo, t[:-1])
+    lo = k.astype(np.float64)[..., None]
+    p = np.minimum(lo + 1, t[1:]) - np.maximum(lo, t[:-1])
     return np.maximum(p, 0.0)
 
 
@@ -277,28 +272,14 @@ def step_naive(x: LoadConfig, P: RoundMatrix, rng, trace: bool = False):
 SAMPLERS = {"naive": step_naive, "batch": step_batch}
 
 
-def run(x0: LoadConfig, P: RoundMatrix, T: int, rng, sampler: str = "batch",
-        collect_traces: bool = False):
-    """T rounds of the chosen sampler; trajectory[0] is x0.
-
-    Returns the list of configs, or (configs, traces) when collect_traces.
-    """
+def run(x0: LoadConfig, P: RoundMatrix, T: int, rng):
+    """T rounds of step_batch; trajectory[0] is x0."""
     if T < 0:
         raise ValidationError(f"step count must be >= 0, got {T}")
-    try:
-        step = SAMPLERS[sampler]
-    except KeyError:
-        raise ValidationError(f"unknown sampler {sampler!r}") from None
     traj = [x0]
-    traces: list[StepTrace] = []
     for _ in range(T):
-        if collect_traces:
-            cfg, tr = step(traj[-1], P, rng, trace=True)
-            traces.append(tr)
-        else:
-            cfg = step(traj[-1], P, rng)
-        traj.append(cfg)
-    return (traj, traces) if collect_traces else traj
+        traj.append(step_batch(traj[-1], P, rng))
+    return traj
 
 
 # ---------------------------------------------------------------------------

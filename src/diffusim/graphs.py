@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -88,13 +89,13 @@ class Graph:
                     queue.append(v)
         return count == self.n
 
+    def flat_adjacency(self) -> np.ndarray:
+        """Every neighbor list concatenated in vertex order (int64)."""
+        return np.fromiter(chain.from_iterable(self.adjacency), dtype=np.int64)
+
     def neighbor_array(self) -> np.ndarray:
         """(n, d) neighbor index matrix for a regular graph."""
-        d = self.regular_degree()
-        out = np.empty((self.n, d), dtype=np.int64)
-        for v, a in enumerate(self.adjacency):
-            out[v] = a
-        return out
+        return self.flat_adjacency().reshape(self.n, self.regular_degree())
 
 
 def gen_cycle(n: int) -> Graph:

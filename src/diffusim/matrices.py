@@ -11,7 +11,6 @@ lazy-random-walk instance behave as "stay if the sample lands in [1/2, 1)".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -67,54 +66,53 @@ class RoundMatrix:
     irreducible: bool
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[tuple[int, float]]]) -> "RoundMatrix":
-        """Validate and canonicalize per-vertex (neighbor, probability) lists.
+    def from_entries(cls, n: int, rows, targets, probs) -> "RoundMatrix":
+        """Validate and canonicalize entries P[rows[i], targets[i]] = probs[i].
 
-        Zero entries are dropped; negative entries and row sums away from 1
-        (beyond 1e-12) are rejected with the offending row named. The last
-        interval end of a row is pinned to exactly 1.0 (a shift within the
-        row-sum tolerance) so interval arithmetic has an exact top end.
+        Out-of-range indices, entries that are not >= 0 (NaN included) and
+        row sums away from 1 (beyond 1e-12) are rejected with the offending
+        row named. Zero entries are dropped, duplicate (v, u) entries are
+        summed in input order, and each row is sorted into interval order.
+        Interval ends are summed left to right within each row, and a row's
+        last end is pinned to exactly 1.0 (a shift within the row-sum
+        tolerance) so interval arithmetic has an exact top end.
         """
-        n = len(rows)
         if n < 1:
             raise ValidationError("matrix needs at least one row")
-        targets: list[int] = []
-        probs: list[float] = []
-        ends: list[float] = []
-        row_len = np.empty(n, dtype=np.int64)
-        for v, row in enumerate(rows):
-            acc: dict[int, float] = {}
-            for u, p in row:
-                u = int(u)
-                if not (0 <= u < n):
-                    raise ValidationError(f"row {v}: column {u} out of range for n={n}")
-                if p < 0:
-                    raise ValidationError(f"row {v}: negative entry P[{v},{u}]={p}")
-                if p > 0:
-                    acc[u] = acc.get(u, 0.0) + float(p)
-            total = sum(acc.values())
-            if abs(total - 1.0) > ROW_SUM_TOL:
-                raise ValidationError(f"row {v}: sums to {total!r}, expected 1 within {ROW_SUM_TOL}")
-            if not acc:
-                raise ValidationError(f"row {v}: has no positive entries")
-            order = sorted(u for u in acc if u != v)
-            if v in acc:
-                order.append(v)
-            pr = [acc[u] for u in order]
-            row_len[v] = len(order)
-            targets += order
-            probs += pr
-            ends += accumulate(pr[:-1])
-            ends.append(1.0)
+        rows = np.asarray(rows, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.int64)
+        probs = np.asarray(probs, dtype=np.float64)
+        bad_row = np.flatnonzero((rows < 0) | (rows >= n))
+        if bad_row.size:
+            raise ValidationError(f"row index {rows[bad_row[0]]} out of range for n={n}")
+        bad = np.flatnonzero((targets < 0) | (targets >= n) | ~(probs >= 0))
+        if bad.size:
+            i = bad[np.argmin(rows[bad])]  # the lowest row's first bad entry
+            v, u, p = rows[i], targets[i], probs[i]
+            if not (0 <= u < n):
+                raise ValidationError(f"row {v}: column {u} out of range for n={n}")
+            raise ValidationError(f"row {v}: negative or NaN entry P[{v},{u}]={p}")
+        total = np.bincount(rows, weights=probs, minlength=n)  # each row in input order
+        bad_sum = np.flatnonzero(np.abs(total - 1.0) > ROW_SUM_TOL)
+        if bad_sum.size:
+            v = bad_sum[0]
+            raise ValidationError(f"row {v}: sums to {float(total[v])!r}, expected 1 within {ROW_SUM_TOL}")
 
-        indptr = np.concatenate(([0], np.cumsum(row_len)))
-        targets = np.array(targets, dtype=np.int64)
-        probs = np.array(probs, dtype=np.float64)
-        arrays = (indptr, np.repeat(np.arange(n), row_len), targets, probs, np.array(ends))
+        keep = probs > 0
+        # one key per (v, u) in interval order: neighbors ascending, self last
+        key = rows[keep] * (n + 1) + np.where(targets[keep] == rows[keep], n, targets[keep])
+        key, entry = np.unique(key, return_inverse=True)
+        probs = np.bincount(entry, weights=probs[keep])  # duplicates summed in input order
+        rows, col = np.divmod(key, n + 1)
+        targets = np.where(col == n, rows, col)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+        last = indptr[1:] - 1
+        ends = _running_sums(indptr, probs)
+        ends[last] = 1.0
+        arrays = (indptr, rows, targets, probs, ends)
         for arr in arrays:
             arr.flags.writeable = False
         S = sparse.csr_matrix((probs, targets, indptr), shape=(n, n))
-        last = indptr[1:] - 1
         diag = np.where(targets[last] == np.arange(n), probs[last], 0.0)
         return cls(
             n,
@@ -158,16 +156,43 @@ def _max_abs(A) -> float:
     return float(abs(A).max()) if A.nnz else 0.0
 
 
+def _running_sums(indptr: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Running sums of probs within each row, each added left to right.
+
+    A global cumsum minus row offsets would round differently. Every row
+    gets one vectorised add per position up to a width w; the rows longer
+    than w get one (sequential) cumsum each, with w chosen to minimise the
+    count of numpy calls, so a star's hub row costs one call, not n.
+    """
+    lens = np.diff(indptr)
+    by_len = np.argsort(-lens, kind="stable")   # longest rows first
+    sorted_lens = lens[by_len]
+    n_long = int(np.argmin(np.arange(lens.size) + sorted_lens))
+    out = probs.copy()
+    for v in by_len[:n_long].tolist():
+        s = slice(indptr[v], indptr[v + 1])
+        out[s] = np.cumsum(probs[s])
+    starts = indptr[by_len[n_long:]]
+    wider = np.searchsorted(-sorted_lens[n_long:], -np.arange(sorted_lens[n_long]))
+    for j in range(1, sorted_lens[n_long]):
+        at = starts[:wider[j]] + j                  # position j of every row longer than j
+        out[at] += out[at - 1]
+    return out
+
+
+def _with_self_loops(rows, targets, probs, self_probs) -> RoundMatrix:
+    """RoundMatrix of off-diagonal entries plus one self-loop per vertex."""
+    v = np.arange(len(self_probs))
+    return RoundMatrix.from_entries(v.size, np.concatenate((rows, v)), np.concatenate((targets, v)),
+                                    np.concatenate((probs, self_probs)))
+
+
 def lazy_rw_matrix(g: Graph) -> RoundMatrix:
     """Lazy random walk on a regular graph: 1/(2d) per edge, 1/2 self."""
     d = g.regular_degree()
-    p = 1.0 / (2 * d)
-    rows = []
-    for v in range(g.n):
-        row = [(u, p) for u in g.adjacency[v]]
-        row.append((v, 0.5))
-        rows.append(row)
-    return RoundMatrix.from_rows(rows)
+    rows = np.repeat(np.arange(g.n), d)
+    return _with_self_loops(rows, g.flat_adjacency(), np.full(rows.size, 1.0 / (2 * d)),
+                            np.full(g.n, 0.5))
 
 
 def metropolis_matrix(g: Graph) -> RoundMatrix:
@@ -177,13 +202,11 @@ def metropolis_matrix(g: Graph) -> RoundMatrix:
     knowledge.
     """
     degs = g.degrees()
-    rows = []
-    for v in range(g.n):
-        row = [(u, 1.0 / (2 * max(degs[v], degs[u]))) for u in g.adjacency[v]]
-        self_p = 1.0 - sum(p for _, p in row)
-        row.append((v, self_p))
-        rows.append(row)
-    return RoundMatrix.from_rows(rows)
+    rows = np.repeat(np.arange(g.n), degs)
+    targets = g.flat_adjacency()
+    probs = 1.0 / (2 * np.maximum(degs[rows], degs[targets]))
+    # bincount sums each row left to right, the order the self-loop remainder is pinned to
+    return _with_self_loops(rows, targets, probs, 1.0 - np.bincount(rows, probs, minlength=g.n))
 
 
 def custom_matrix(entries: Sequence[tuple[int, int, float]], n: int | None = None) -> RoundMatrix:
@@ -193,15 +216,14 @@ def custom_matrix(entries: Sequence[tuple[int, int, float]], n: int | None = Non
     """
     if not entries:
         raise ValidationError("no entries given")
+    rows, targets, probs = zip(*entries)
+    try:
+        rows, targets = np.array(rows, dtype=np.int64), np.array(targets, dtype=np.int64)
+    except OverflowError:
+        raise ValidationError("vertex index beyond the int64 range") from None
     if n is None:
-        n = 1 + max(max(int(v), int(u)) for v, u, _ in entries)
-    rows: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for v, u, p in entries:
-        v = int(v)
-        if not (0 <= v < n):
-            raise ValidationError(f"row index {v} out of range for n={n}")
-        rows[v].append((int(u), float(p)))
-    return RoundMatrix.from_rows(rows)
+        n = 1 + int(max(rows.max(), targets.max()))
+    return RoundMatrix.from_entries(n, rows, targets, probs)
 
 
 def matrix_from_text(text: str) -> RoundMatrix:

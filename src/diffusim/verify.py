@@ -69,39 +69,39 @@ def seeded_irregular_graph(n: int = 128, chords: int = 64, seed: int = 5) -> gra
     return graphs.Graph.from_edges(n, edges)
 
 
+def _weighted_edges(n: int, rng):
+    """Random connected graph with symmetric edge weights from U(0.5, 2).
+
+    Returns (rows, targets, w, W): one entry per ordered neighbor pair, row
+    by row with neighbors ascending, its weight w, and the weighted degrees
+    W, each summed left to right. One rng.uniform call draws the weights in
+    g.edges() order.
+    """
+    g = random_connected_graph(n, rng)
+    rows = np.repeat(np.arange(n), g.degrees())
+    targets = g.flat_adjacency()
+    pair = np.minimum(rows, targets) * n + np.maximum(rows, targets)
+    edges = pair[rows < targets]   # g.edges() order, ascending
+    w = rng.uniform(0.5, 2.0, size=edges.size)[np.searchsorted(edges, pair)]
+    return rows, targets, w, np.bincount(rows, w, minlength=n)
+
+
 def random_reversible_lazy_chain(n: int, rng):
     """Random edge-weighted lazy walk: P[v,u] = w_vu / (2 W_v), self 1/2.
 
     Reversible with stationary distribution proportional to the weighted
     degrees W_v; generally not symmetric. Returns (matrix, exact_pi).
     """
-    g = random_connected_graph(n, rng)
-    weight = {}
-    for u, v in g.edges():
-        weight[(u, v)] = weight[(v, u)] = float(rng.uniform(0.5, 2.0))
-    W = np.array([sum(weight[(v, u)] for u in g.adjacency[v]) for v in range(n)])
-    rows = []
-    for v in range(n):
-        row = [(u, weight[(v, u)] / (2.0 * W[v])) for u in g.adjacency[v]]
-        row.append((v, 0.5))
-        rows.append(row)
-    return matrices.RoundMatrix.from_rows(rows), W / W.sum()
+    rows, targets, w, W = _weighted_edges(n, rng)
+    P = matrices._with_self_loops(rows, targets, w / (2.0 * W[rows]), np.full(n, 0.5))
+    return P, W / W.sum()
 
 
 def random_symmetric_lazy_chain(n: int, rng) -> matrices.RoundMatrix:
     """Random symmetric edge probabilities scaled so every diagonal is >= 1/2."""
-    g = random_connected_graph(n, rng)
-    weight = {}
-    for u, v in g.edges():
-        weight[(u, v)] = weight[(v, u)] = float(rng.uniform(0.5, 2.0))
-    W = np.array([sum(weight[(v, u)] for u in g.adjacency[v]) for v in range(n)])
-    scale = 2.0 * W.max()
-    rows = []
-    for v in range(n):
-        row = [(u, weight[(v, u)] / scale) for u in g.adjacency[v]]
-        row.append((v, 1.0 - sum(p for _, p in row)))
-        rows.append(row)
-    return matrices.RoundMatrix.from_rows(rows)
+    rows, targets, w, W = _weighted_edges(n, rng)
+    probs = w / (2.0 * W.max())
+    return matrices._with_self_loops(rows, targets, probs, 1.0 - np.bincount(rows, probs, minlength=n))
 
 
 def figure_row_matrix() -> matrices.RoundMatrix:
@@ -151,33 +151,21 @@ def check_step_trace(P: matrices.RoundMatrix, trace: discrete.StepTrace) -> list
         if x_v == 0:
             continue
         row = P.row(v)
-        m = row.targets.size
-        t = row.prefix * float(x_v)
-        k = np.arange(x_v, dtype=np.float64)[:, None]
-        probs = np.maximum(np.minimum(k + 1, t[1:][None, :]) - np.maximum(k, t[:-1][None, :]), 0.0)
-        pos = {int(u): i for i, u in enumerate(row.targets)}
-        dest_pos = np.empty(x_v, dtype=np.int64)
-        bad = False
-        for i, u in enumerate(dest):
-            p = pos.get(int(u))
-            if p is None:
-                violations.append(f"v={v} token {i}: destination {int(u)} outside row support")
-                bad = True
-                break
-            dest_pos[i] = p
-        if bad:
+        probs = discrete.destination_distribution(row, x_v, np.arange(x_v))
+        onehot = dest[:, None] == row.targets  # a row's targets are distinct
+        hit = onehot.any(axis=1)
+        if not hit.all():
+            i = int(np.argmin(hit))
+            violations.append(f"v={v} token {i}: destination {int(dest[i])} outside row support")
             continue
-        onehot = np.zeros((x_v, m))
-        onehot[np.arange(x_v), dest_pos] = 1.0
-        chosen = probs[np.arange(x_v), dest_pos]
+        chosen = probs[onehot]
         if np.any(chosen <= 0.0):
             ks = np.nonzero(chosen <= 0.0)[0]
             violations.append(f"v={v}: tokens {ks.tolist()} routed to zero-probability targets")
-        per_token = np.abs(onehot - probs).sum(axis=1)
-        if np.any(per_token > 2.0 + LEMMA_SUM_TOL):
+        gap = np.abs(onehot - probs)
+        if np.any(gap.sum(axis=1) > 2.0 + LEMMA_SUM_TOL):
             violations.append(f"v={v}: per-token discrepancy sum exceeds 2")
-        per_neighbor = np.abs(onehot - probs).sum(axis=0)
-        if np.any(per_neighbor > 2.0 + LEMMA_SUM_TOL):
+        if np.any(gap.sum(axis=0) > 2.0 + LEMMA_SUM_TOL):
             violations.append(f"v={v}: per-neighbor discrepancy sum exceeds 2")
         nondet = ((probs > 0.0) & (probs < 1.0)).sum(axis=0)
         if np.any(nondet > 2):
@@ -362,8 +350,7 @@ def sampler_equivalence_stats(seed: int = 0, samples: int = 10_000):
     hub, x_hub = 4, 5
     det_mask = discrete.deterministic_token_mask(P, hub, x_hub)
     row = P.row(hub)
-    supports = [np.nonzero(discrete.destination_distribution(row, x_hub, k) > 0)[0]
-                for k in range(x_hub)]
+    support = discrete.destination_distribution(row, x_hub, np.arange(x_hub)) > 0
 
     counts = {}
     det_sets_equal = True
@@ -379,16 +366,15 @@ def sampler_equivalence_stats(seed: int = 0, samples: int = 10_000):
             if sampler == "batch" and not np.array_equal(~tr.sampled[hub], det_mask):
                 det_sets_equal = False
         counts[sampler] = table
-        seen_support = [np.nonzero(table[k] > 0)[0] for k in range(x_hub)]
-        for k in range(x_hub):
-            if not set(seen_support[k]) <= set(supports[k]):
-                support_sets_equal = False
-            if det_mask[k] and seen_support[k].size != 1:
-                det_sets_equal = False
+        seen = table > 0
+        if np.any(seen & ~support):
+            support_sets_equal = False
+        if np.any(seen[det_mask].sum(axis=1) != 1):
+            det_sets_equal = False
 
     # chi-square homogeneity over the non-deterministic (token, target) cells
-    cells = [(k, j) for k in range(x_hub) for j in supports[k] if not det_mask[k]]
-    table = np.array([[counts[s][k, j] for (k, j) in cells] for s in ("naive", "batch")])
+    cells = support & ~det_mask[:, None]
+    table = np.array([counts[s][cells] for s in ("naive", "batch")])
     _, p_value, _, _ = scipy_stats.chi2_contingency(table)
     return det_sets_equal, support_sets_equal, float(p_value), table
 

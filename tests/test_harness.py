@@ -257,6 +257,14 @@ def test_cli_divergence_reducible_matrix(tmp_path, capsys):
     assert main(["divergence", "--matrix", f"file:{path}"]) == 2
 
 
+def test_cli_nan_matrix_entry_exit_2(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_text("2\n0 0 0.5\n0 1 0.5\n1 0 0.5\n1 1 0.5\n0 1 nan\n")
+    assert main(["simulate", "--graph", "complete:2", "--matrix", f"file:{path}",
+                 "--steps", "3", "--out", str(tmp_path / "o.csv")]) == 2
+    assert "row 0: negative or NaN entry" in capsys.readouterr().err
+
+
 def test_cli_verify_single_suite(capsys):
     assert main(["verify", "--suite", "prop1"]) == 0
     assert "[PASS] prop1" in capsys.readouterr().out

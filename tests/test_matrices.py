@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -24,7 +25,13 @@ from diffusim import (
     stationary_distribution,
 )
 from diffusim.matrices import matrix_from_text
-from diffusim.verify import random_connected_graph, random_reversible_lazy_chain
+from diffusim.verify import (
+    figure_row_matrix,
+    random_connected_graph,
+    random_reversible_lazy_chain,
+    random_symmetric_lazy_chain,
+    seeded_irregular_graph,
+)
 
 FIG1_ROW = [(0, 1 / 16), (1, 1 / 16), (2, 1 / 8), (3, 1 / 4), (4, 1 / 2)]
 
@@ -122,6 +129,42 @@ def test_custom_bad_row_sum():
 def test_custom_negative_entry():
     with pytest.raises(ValidationError, match="negative"):
         custom_matrix([(0, 0, 1.2), (0, 1, -0.2), (1, 1, 1.0)])
+
+
+def test_nan_entry_names_its_row():
+    with pytest.raises(ValidationError, match="row 1: negative or NaN entry"):
+        custom_matrix([(0, 0, 0.5), (0, 1, 0.5), (1, 1, 1.0), (1, 0, math.nan)])
+
+
+def test_column_out_of_range_names_its_row():
+    with pytest.raises(ValidationError, match="row 1: column 7 out of range"):
+        custom_matrix([(0, 0, 1.0), (1, 1, 0.5), (1, 7, 0.5)], n=2)
+
+
+def test_entries_canonicalised():
+    # row 2 arrives unsorted, with a zero entry and P[2,3] split in two
+    P = custom_matrix([(0, 0, 1.0), (1, 1, 1.0), (3, 3, 1.0),
+                       (2, 3, 0.0625), (2, 2, 0.5), (2, 1, 0.0), (2, 3, 0.0625), (2, 0, 0.375)])
+    row = P.row(2)
+    assert row.targets.tolist() == [0, 3, 2]
+    assert row.probs.tolist() == [0.375, 0.125, 0.5]
+    assert row.ends.tolist() == [0.375, 0.5, 1.0]
+    assert P.indptr.tolist() == [0, 1, 2, 5, 6]
+    check_matrix_invariants(P)
+
+
+def test_running_sums_add_each_row_left_to_right():
+    # skewed lengths make both the per-position adds and the per-row cumsums run
+    from itertools import accumulate
+
+    from diffusim.matrices import _running_sums
+
+    rng = np.random.default_rng(2)
+    for lens in ([1], [3, 3, 3], [40, 2, 2, 1, 2], [50, 45, 44, 3, 9, 1, 7, 7, 30] * 3):
+        indptr = np.concatenate(([0], np.cumsum(lens)))
+        probs = rng.uniform(0.0, 1.0, size=indptr[-1])
+        expect = [e for v in range(len(lens)) for e in accumulate(probs[indptr[v]:indptr[v + 1]].tolist())]
+        assert _running_sums(indptr, probs).tolist() == expect
 
 
 def test_classify_k2(lazy_k2):
@@ -238,3 +281,33 @@ def test_matrix_text_round_trip(lazy_triangle):
 def test_matrix_text_validates():
     with pytest.raises(ValidationError):
         matrix_from_text("2\n0 0 0.5\n0 1 0.4\n1 1 1.0")
+
+
+def _construction_digest(P, *extra) -> str:
+    h = hashlib.sha256()
+    for a in (P.indptr, P.rows, P.targets, P.probs, P.ends, *extra):
+        h.update(a.dtype.str.encode() + a.tobytes())
+    h.update(bytes([bool(P.symmetric), bool(P.lazy), bool(P.irreducible)]))
+    return h.hexdigest()
+
+
+def test_construction_golden_digests():
+    # pins every builder's arrays and flags bit for bit, pi included
+    P, pi = random_reversible_lazy_chain(12, np.random.default_rng(3))
+    got = {
+        "lazy-hypercube5": _construction_digest(lazy_rw_matrix(gen_hypercube(5))),
+        "metropolis-star64": _construction_digest(metropolis_matrix(gen_star(64))),
+        "metropolis-irregular": _construction_digest(metropolis_matrix(seeded_irregular_graph())),
+        "figure-row": _construction_digest(figure_row_matrix()),
+        "reversible-12": _construction_digest(P, pi),
+        "symmetric-12": _construction_digest(
+            random_symmetric_lazy_chain(12, np.random.default_rng(4))),
+    }
+    assert got == {
+        "lazy-hypercube5": "802c2a6605c5f95ded629c7d3165aa1213bd04a065a08cd1ea96b09e87224fb3",
+        "metropolis-star64": "69f3e1c4bcf63b6a3cfc18b0a62526ae56d7a7a186227b2bd1aa80a6f0a68a14",
+        "metropolis-irregular": "887ea513eca5d98d80b5370fb9d27196831b70f93b530a2a2af8206af1f6d912",
+        "figure-row": "c64b53958d154aee8aaa5d15a743f7c83a0c7884cc03a021934b18e03a23e673",
+        "reversible-12": "b70470008cd9fa65a87f51fdd8e1fe24e64f371d71a14302c930b2180496db40",
+        "symmetric-12": "dbf65c39e231634af55c117e47cb211cc4a596111be9d3c58520549bf1114c75",
+    }
