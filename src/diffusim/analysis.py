@@ -18,11 +18,12 @@ from .errors import (
     UnsupportedMatrixError,
     ValidationError,
 )
-from .matrices import RoundMatrix, classify, power_apply, stationary_distribution
+from .matrices import RoundMatrix, classify, detailed_balance_pi, power_apply
 
 PSI_TOL_DEFAULT = 1e-12
 PSI_T_MAX_FALLBACK = 10_000
 DIRICHLET_TOL = 1e-10
+UNIT_MODULUS_TOL = 1e-9  # a nontrivial eigenvalue this close to +-1 counts as modulus 1
 
 
 def discrepancy(xi) -> float:
@@ -40,9 +41,9 @@ class DivergenceReport:
     p: int
     value: float
     argmax_vertex: int
-    t_stop: int
+    t_stop: int                # last t summed; 0 for the exact spectral sum
     residual: float            # last per-step inner sum (max over vertices)
-    tail_bound: float | None   # certified bound on the remaining p-th power sum
+    tail_bound: float | None   # what the sum leaves out: 0.0 when exact, None when truncated
 
     def to_lines(self) -> list[str]:
         lines = [
@@ -62,21 +63,65 @@ def local_p_divergence(P: RoundMatrix, p: int = 2, tol: float = PSI_TOL_DEFAULT,
     """Worst-vertex accumulated p-th power column differences over all times.
 
     Sums |P^t[v,w] - P^t[u,w]|^p over ordered positive pairs (v, u) and all
-    t >= 0 (t=0 is the identity term), stopping once the per-step inner sum
-    stays below tol for 3 consecutive steps. Diagonal pairs contribute 0 and
-    are skipped. For reversible lazy chains the report carries a certified
-    bound on the truncated tail, obtained by telescoping the diagonal powers.
+    t >= 0 (t=0 is the identity term). For p=2 on a reversible chain whose
+    only eigenvalue of modulus 1 is 1 itself, the sum over t is evaluated
+    exactly in the chain's spectral basis (t_stop=0, residual and tail_bound
+    0), and tol and t_max are unused. Otherwise (p=1, non-reversible or
+    periodic chains) it is truncated once the per-step inner sum stays below
+    tol for 3 consecutive steps, or fails with NotConvergedError after t_max.
     """
     if p not in (1, 2):
         raise ValidationError(f"p must be 1 or 2, got {p}")
     if not P.irreducible:
         raise NotIrreducibleError("local p-divergence requires an irreducible chain")
+    if p == 2:
+        report = _spectral_psi2(P)
+        if report is not None:
+            return report
     if t_max is None:
         if P.symmetric:
             t_max = 10 * max(1, convergence_time(P, 1.0, 1.0))
         else:
             t_max = PSI_T_MAX_FALLBACK
+    return _divergence_series(P, p, tol, t_max)
 
+
+def _spectral_psi2(P: RoundMatrix) -> DivergenceReport | None:
+    """Exact psi2 of an irreducible chain, or None when the chain is not
+    reversible or has a nontrivial eigenvalue of modulus 1.
+
+    With S = Pi^1/2 P Pi^-1/2 = V diag(lam) V^T and the eigenvalue 1 left
+    out, P^t[v,w] - P^t[u,w] = sum_i (W_vi - W_ui) lam_i^t C_wi for W = V/sqrt(pi)
+    and C = sqrt(pi) V. Squaring, summing the geometric series over t and
+    then over the ordered off-diagonal pairs (whose Laplacian is L) gives
+    psi2(w)^2 = sum_ij C_wi C_wj (W^T L W)_ij / (1 - lam_i lam_j).
+    """
+    dense = P.dense()
+    pi = detailed_balance_pi(P)
+    if pi is None:
+        return None
+    r = np.sqrt(pi)
+    S = r[:, None] * dense / r
+    lam, V = np.linalg.eigh(0.5 * (S + S.T))
+    lam, V = lam[:-1], V[:, :-1]  # eigh sorts ascending: the eigenvalue 1 is last
+    if lam.size and np.abs(lam).max() >= 1.0 - UNIT_MODULUS_TOL:
+        return None
+    A = (dense > 0.0).astype(np.float64)  # the ordered off-diagonal support pairs
+    np.fill_diagonal(A, 0.0)
+    L = np.diag(A.sum(axis=1) + A.sum(axis=0)) - A - A.T
+    W = V / r[:, None]
+    C = V * r[:, None]
+    K = (W.T @ (L @ W)) / (1.0 - np.outer(lam, lam))
+    sq = np.einsum("wi,wi->w", C @ K, C)
+    w = int(np.argmax(sq))
+    return DivergenceReport(p=2, value=float(np.sqrt(sq[w])), argmax_vertex=w,
+                            t_stop=0, residual=0.0, tail_bound=0.0)
+
+
+def _divergence_series(P: RoundMatrix, p: int, tol: float, t_max: int) -> DivergenceReport:
+    """The sum of local_p_divergence over t = 0, 1, ..., truncated once the
+    per-step inner sum stays below tol for 3 consecutive steps. Diagonal
+    pairs contribute 0 and are skipped."""
     off = P.rows != P.targets
     vi, ui = P.rows[off], P.targets[off]
 
@@ -106,24 +151,13 @@ def local_p_divergence(P: RoundMatrix, p: int = 2, tol: float = PSI_TOL_DEFAULT,
         t += 1
 
     w = int(np.argmax(acc))
-    tail = None
-    if p == 2 and P.lazy:
-        cl = classify(P)
-        if cl.reversible:
-            # Remaining sum over t > t_stop, bounded through the Dirichlet
-            # identity plus laziness: sum_t inner_w(t) <= 2 pi_w
-            # (P^{2t+2}[w,w] - pi_w) / min pi_v P[v,u].
-            pi = cl.pi
-            M_next = M_t @ dense
-            diag = np.einsum("ij,ji->i", M_next, M_next)  # P^{2(t+1)} diagonal
-            tail = float(np.max(2.0 * pi * np.maximum(diag - pi, 0.0)) / _min_flow(P, pi))
     return DivergenceReport(
         p=p,
         value=float(acc[w] ** (1.0 / p)),
         argmax_vertex=w,
         t_stop=t,
         residual=residual,
-        tail_bound=tail,
+        tail_bound=None,
     )
 
 

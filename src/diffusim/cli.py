@@ -76,7 +76,10 @@ def main(argv: list[str] | None = None) -> int:
                 loads=args.loads, steps=args.steps, trials=args.trials,
                 seed=args.seed, stride=args.stride, jobs=args.jobs,
             )
-            rows = simulate_to_csv(spec, args.out)
+            unavailable: dict[str, str] = {}
+            rows = simulate_to_csv(spec, args.out, unavailable)
+            for name, reason in unavailable.items():
+                sys.stderr.write(f"diffusim: {name} unavailable: {reason}\n")
             print(f"wrote {rows} rows to {args.out}")
             return 0
         if args.command == "bounds":

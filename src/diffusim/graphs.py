@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -20,7 +21,10 @@ MAX_REGULAR_RESTARTS = 10_000
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple connected graph with sorted adjacency lists."""
+    """Immutable simple connected graph with sorted adjacency lists.
+
+    Derived values (the common degree, the neighbor array) are computed on
+    first use and kept for the life of the graph."""
 
     n: int
     adjacency: tuple[tuple[int, ...], ...]
@@ -58,16 +62,19 @@ class Graph:
     def d_max(self) -> int:
         return max(len(a) for a in self.adjacency)
 
-    def is_regular(self) -> bool:
+    @cached_property
+    def _common_degree(self) -> int | None:
         degs = {len(a) for a in self.adjacency}
-        return len(degs) == 1
+        return degs.pop() if len(degs) == 1 else None
+
+    def is_regular(self) -> bool:
+        return self._common_degree is not None
 
     def regular_degree(self) -> int:
         """Common degree of a regular graph; ValidationError otherwise."""
-        degs = {len(a) for a in self.adjacency}
-        if len(degs) != 1:
+        if self._common_degree is None:
             raise ValidationError("graph is not regular")
-        return degs.pop()
+        return self._common_degree
 
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edges as (u, v) with u < v, sorted."""
@@ -93,9 +100,16 @@ class Graph:
         """Every neighbor list concatenated in vertex order (int64)."""
         return np.fromiter(chain.from_iterable(self.adjacency), dtype=np.int64)
 
+    @cached_property
+    def _neighbor_array(self) -> np.ndarray:
+        nbrs = self.flat_adjacency().reshape(self.n, self.regular_degree())
+        nbrs.flags.writeable = False
+        return nbrs
+
     def neighbor_array(self) -> np.ndarray:
-        """(n, d) neighbor index matrix for a regular graph."""
-        return self.flat_adjacency().reshape(self.n, self.regular_degree())
+        """(n, d) neighbor index matrix for a regular graph; read-only, built
+        once per graph, since the deterministic baselines read it every round."""
+        return self._neighbor_array
 
 
 def gen_cycle(n: int) -> Graph:

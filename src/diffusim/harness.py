@@ -136,6 +136,7 @@ class ResolvedExperiment:
     bound3: float | None
     bound12: float | None
     bound12_name: str
+    unavailable: dict[str, str]   # blank header quantity -> why it is blank
 
 
 def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
@@ -149,13 +150,16 @@ def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
         raise ValidationError(f"graph has {g.n} vertices but matrix has {P.n}")
     x0 = build_loads(spec.loads, P.n)
 
+    unavailable: dict[str, str] = {}
     lam = None
-    if P.symmetric and P.irreducible:
-        try:
-            lam = matrices.second_eigenvalue(P)
-        except SizeLimitError:
-            if spec.steps == "auto":  # only the auto step count needs lambda
-                raise
+    try:
+        lam = matrices.second_eigenvalue(P)
+    except SizeLimitError as exc:
+        if spec.steps == "auto":  # only the auto step count needs lambda
+            raise
+        unavailable["lambda"] = str(exc)
+    except DiffusimError as exc:  # not symmetric, or reducible
+        unavailable["lambda"] = str(exc)
 
     if spec.steps == "auto":
         disc0 = analysis.discrepancy(x0.loads)
@@ -192,10 +196,10 @@ def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
     bound3 = None
     try:
         psi2 = analysis.local_p_divergence(P, p=2).value
-        if P.n >= 2:
-            bound3 = analysis.bound_theorem3(psi2, P.n)
-    except DiffusimError:
-        pass
+    except DiffusimError as exc:
+        unavailable["psi2"] = str(exc)
+    if psi2 is not None and P.n >= 2:
+        bound3 = analysis.bound_theorem3(psi2, P.n)
 
     bound12 = None
     bound12_name = ""
@@ -210,7 +214,7 @@ def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
     return ResolvedExperiment(
         spec=spec, graph=g, matrix=P, x0=x0, T=T, record_ts=record_ts,
         oracle=oracle, lam=lam, psi2=psi2, bound3=bound3,
-        bound12=bound12, bound12_name=bound12_name,
+        bound12=bound12, bound12_name=bound12_name, unavailable=unavailable,
     )
 
 
@@ -243,9 +247,16 @@ def _trial_rows(res: ResolvedExperiment, trial: int) -> list[str]:
     return rows
 
 
-def run_experiment(spec: ExperimentSpec) -> tuple[list[str], list[str]]:
-    """Returns ('#'-prefixed header lines, data rows) ready for CSV assembly."""
+def run_experiment(spec: ExperimentSpec,
+                   unavailable: dict[str, str] | None = None) -> tuple[list[str], list[str]]:
+    """Returns ('#'-prefixed header lines, data rows) ready for CSV assembly.
+
+    When a dict is passed as `unavailable`, it receives the reason for each
+    header quantity left blank by an error (ResolvedExperiment.unavailable).
+    """
     res = resolve(spec)
+    if unavailable is not None:
+        unavailable.update(res.unavailable)
     header = [
         "# diffusim simulate",
         f"# {spec.echo()}",
@@ -268,8 +279,9 @@ def write_csv(path: str | Path, header: list[str], rows: list[str]) -> None:
     Path(path).write_text("\n".join(header + rows) + "\n")
 
 
-def simulate_to_csv(spec: ExperimentSpec, out: str | Path) -> int:
-    header, rows = run_experiment(spec)
+def simulate_to_csv(spec: ExperimentSpec, out: str | Path,
+                    unavailable: dict[str, str] | None = None) -> int:
+    header, rows = run_experiment(spec, unavailable)
     write_csv(out, header, rows)
     return len(rows)
 

@@ -287,6 +287,35 @@ def is_reversible(P: RoundMatrix, pi: np.ndarray) -> bool:
     return _max_abs(flow - flow.T) <= DETAILED_BALANCE_TOL
 
 
+def detailed_balance_pi(P: RoundMatrix) -> np.ndarray | None:
+    """Stationary distribution of an irreducible reversible chain, or None
+    when detailed balance fails.
+
+    pi is read off detailed balance, pi_u / pi_v = P[v,u] / P[u,v], along a
+    breadth-first tree from vertex 0 and then checked on every entry with
+    is_reversible. There is no power iteration, so periodic chains are
+    handled too. Raises NotIrreducibleError for reducible chains.
+    """
+    if not P.irreducible:
+        raise NotIrreducibleError("detailed balance requested for a reducible chain")
+    if P.symmetric:
+        pi = np.full(P.n, 1.0 / P.n)
+    else:
+        S = sparse.csr_matrix((P.probs, P.targets, P.indptr), shape=(P.n, P.n))
+        order, pred = csgraph.breadth_first_order(S, 0, return_predecessors=True)
+        child = order[1:]
+        back = np.asarray(S[child, pred[child]]).ravel()
+        if np.any(back == 0.0):
+            return None
+        step = np.log(np.asarray(S[pred[child], child]).ravel() / back)
+        log_pi = np.zeros(P.n)
+        for u, s in zip(child.tolist(), step.tolist()):  # parents come first
+            log_pi[u] = log_pi[pred[u]] + s
+        pi = np.exp(log_pi - log_pi.max())
+        pi /= pi.sum()
+    return pi if is_reversible(P, pi) else None
+
+
 def classify(P: RoundMatrix) -> Classification:
     """Flags plus stationary distribution (pi is None for reducible chains)."""
     if not P.irreducible:

@@ -17,6 +17,7 @@ from . import analysis, continuous, discrete, graphs, matrices
 
 CHI2_P_FLOOR = 0.001
 LEMMA_SUM_TOL = 1e-9
+PSI2_REL_TOL = 1e-9
 
 
 @dataclass
@@ -211,12 +212,22 @@ def suite_dirichlet(seed: int = 0) -> SuiteResult:
 
 
 def suite_psi2(seed: int = 0) -> SuiteResult:
-    """Computed local 2-divergence sits under both closed-form bounds;
-    plus the exact fixture values the bounds must reproduce."""
+    """The exact spectral psi2 matches the truncated series within 1e-9
+    relative and sits under both closed-form bounds; plus the exact fixture
+    values the bounds must reproduce."""
     failures = []
     checks = 0
+    worst = 0.0
     for name, P in _dirichlet_chain_set(seed):
         report = analysis.local_p_divergence(P, p=2)
+        series = analysis._divergence_series(P, 2, analysis.PSI_TOL_DEFAULT,
+                                             analysis.PSI_T_MAX_FALLBACK)
+        gap = abs(report.value - series.value) / series.value
+        worst = max(worst, gap)
+        checks += 1
+        if report.t_stop != 0 or gap > PSI2_REL_TOL:
+            failures.append(f"{name}: spectral psi2 {report.value!r} (t_stop {report.t_stop}) "
+                            f"!= series {series.value!r}")
         bound_rev = analysis.psi2_bound_reversible(P)
         checks += 1
         if report.value > bound_rev + 1e-9:
@@ -241,7 +252,9 @@ def suite_psi2(seed: int = 0) -> SuiteResult:
     if abs(got - 2.0 * math.sqrt(7)) > 1e-12:
         failures.append(f"metropolis star8 bound {got!r} != 2 sqrt(7)")
     return SuiteResult("psi2", not failures, checks,
-                       failures[0] if failures else "all psi2 values within bounds")
+                       failures[0] if failures else
+                       f"all psi2 values within bounds; spectral vs series worst "
+                       f"relative gap {worst:.3g} (tol {PSI2_REL_TOL})")
 
 
 def _fuzz_cases(seed: int):

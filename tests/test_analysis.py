@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffusim import (
+    NonConvergentError,
     NotConvergedError,
     NotIrreducibleError,
     UnsupportedMatrixError,
@@ -30,9 +31,11 @@ from diffusim import (
     psi2_bound_symmetric,
     stationary_distribution,
 )
+from diffusim.analysis import PSI_T_MAX_FALLBACK, PSI_TOL_DEFAULT, _divergence_series
 from diffusim.verify import (
     random_reversible_lazy_chain,
     random_symmetric_lazy_chain,
+    seeded_irregular_graph,
 )
 
 
@@ -99,8 +102,11 @@ def test_psi2_k2_against_brute_force(lazy_k2):
     assert oracle == pytest.approx(math.sqrt(2), abs=1e-12)
     rep = local_p_divergence(lazy_k2, p=2)
     assert rep.value == pytest.approx(oracle, abs=1e-9)
-    assert rep.t_stop >= 1
-    assert rep.residual < 1e-12
+    assert rep.t_stop == 0
+    assert rep.tail_bound == 0.0
+    series = _divergence_series(lazy_k2, 2, PSI_TOL_DEFAULT, PSI_T_MAX_FALLBACK)
+    assert series.t_stop >= 1
+    assert series.residual < 1e-12
 
 
 def test_psi1_k2_against_brute_force(lazy_k2):
@@ -124,9 +130,47 @@ def test_psi_reducible_rejected():
 
 def test_psi_t_max_carries_partial(lazy_cycle16):
     with pytest.raises(NotConvergedError) as exc:
-        local_p_divergence(lazy_cycle16, p=2, t_max=3)
+        _divergence_series(lazy_cycle16, 2, 1e-12, 3)
     assert exc.value.partial_value is not None
     assert 0 < exc.value.partial_value
+
+
+def _spectral_matches_series(P):
+    rep = local_p_divergence(P, p=2)
+    series = _divergence_series(P, 2, PSI_TOL_DEFAULT, PSI_T_MAX_FALLBACK)
+    assert (rep.t_stop, rep.residual, rep.tail_bound) == (0, 0.0, 0.0)
+    assert rep.value == pytest.approx(series.value, rel=1e-9, abs=0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), symmetric=st.booleans())
+def test_psi2_spectral_matches_series(seed, symmetric):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 17))
+    P = random_symmetric_lazy_chain(n, rng) if symmetric else random_reversible_lazy_chain(n, rng)[0]
+    _spectral_matches_series(P)
+
+
+def test_psi2_spectral_matches_series_irregular_metropolis():
+    _spectral_matches_series(metropolis_matrix(seeded_irregular_graph()))
+
+
+def test_psi2_non_reversible_takes_series():
+    rep = local_p_divergence(non_reversible_chain(), p=2)
+    assert rep.t_stop >= 1 and rep.tail_bound is None
+    assert rep.value == float.fromhex("0x1.1275f792c28ebp+1")  # the series' bits
+
+
+@pytest.mark.parametrize("P, error", [
+    (custom_matrix([(0, 1, 1.0), (1, 0, 1.0)]), NonConvergentError),  # symmetric swap
+    # non-lazy walk on the 4-vertex star: reversible, not symmetric, period 2
+    (custom_matrix([(0, u, 1 / 3) for u in (1, 2, 3)] + [(u, 0, 1.0) for u in (1, 2, 3)]),
+     NotConvergedError),
+])
+def test_psi2_periodic_takes_series(P, error):
+    # an eigenvalue -1 makes the spectral sum diverge, so the series runs and fails
+    with pytest.raises(error):
+        local_p_divergence(P, p=2)
 
 
 def test_psi_invalid_p(lazy_k2):

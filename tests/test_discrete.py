@@ -17,6 +17,7 @@ from diffusim import (
     gen_cycle,
     gen_hypercube,
     gen_star,
+    gen_torus,
     lazy_rw_matrix,
     metropolis_matrix,
     point_config,
@@ -397,6 +398,28 @@ def test_rsend_remainder_pairs_uniform(triangle):
     assert set(counts) == {(0, 1), (0, 2), (1, 2)}
     for pair in counts:
         assert abs(counts[pair] / 9000 - 1 / 3) <= 0.02
+
+
+@pytest.mark.parametrize("stepper, digest", [
+    (lambda x, g, rng: step_send_floor2d(x, g),
+     "757e624c7cf9bc2e7b81d5fc6ada5609199ca502974a64fc70140081dfac825c"),
+    (lambda x, g, rng: step_send_round3d(x, g),
+     "82d34f11c01177911babd7f7b8aa3d3209057d7a8a0638b33e59e0820bc2fd7a"),
+    (lambda x, g, rng: step_send_partition(x, g),
+     "149ded675a3526eaae0ef3244a5873a89cd2a2b9b7f50fc0c576e1d299395ca9"),
+    (step_rsend, "de80e45a90e12071f9c99ba4debc9c5fe3adde1a94727a6ae8f8f876296e6899"),
+])
+def test_baselines_golden_digests(stepper, digest):
+    # golden digest of 20 steps of each baseline on the 5x7 torus, so that
+    # reusing the graph's neighbor array cannot change what a step sends
+    g = gen_torus(5, 7)
+    rng = np.random.default_rng(5)
+    cfg = random_config(35, 3500, 9)
+    h = hashlib.sha256()
+    for _ in range(20):
+        cfg = stepper(cfg, g, rng)
+        h.update(cfg.loads.tobytes())
+    assert h.hexdigest() == digest
 
 
 @pytest.mark.parametrize("stepper", [

@@ -168,3 +168,21 @@ def test_edge_list_round_trip():
 def test_from_edges_rejects_out_of_range():
     with pytest.raises(ValidationError):
         Graph.from_edges(3, [(0, 5)])
+
+
+def test_neighbor_array_built_once_and_read_only():
+    g = gen_torus(5, 7)
+    nbrs = g.neighbor_array()
+    assert g.neighbor_array() is nbrs
+    assert nbrs.shape == (35, 4) and not nbrs.flags.writeable
+    assert [tuple(row) for row in nbrs.tolist()] == list(g.adjacency)
+    with pytest.raises(ValueError):
+        nbrs[0, 0] = 1
+    assert g.regular_degree() == 4 and g.is_regular()
+    star = gen_star(5)
+    assert not star.is_regular()
+    for _ in range(2):  # the cached answer keeps raising
+        with pytest.raises(ValidationError):
+            star.regular_degree()
+        with pytest.raises(ValidationError):
+            star.neighbor_array()

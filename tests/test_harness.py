@@ -206,6 +206,31 @@ def test_cli_simulate_above_dense_limit(tmp_path, args):
     assert lines[-1].startswith(f"0,{args[-1]},")
 
 
+def test_cli_simulate_reports_why_header_quantities_are_blank(tmp_path, capsys):
+    out = tmp_path / "big.csv"
+    assert main(["simulate", "--graph", "cycle:5000", "--steps", "10", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "diffusim: lambda unavailable: n=5000 above dense eigensolver limit 4096",
+        "diffusim: psi2 unavailable: dense form refused for n=5000 > 4096",
+    ]
+    assert captured.out == f"wrote 11 rows to {out}\n"
+
+
+def test_cli_simulate_non_reversible_matrix_file(tmp_path, capsys):
+    # lambda needs a symmetric chain; psi2 falls back to the truncated series
+    path = tmp_path / "m.txt"
+    path.write_text("3\n" + "".join(f"{v} {(v + 1) % 3} 0.4\n{v} {(v + 2) % 3} 0.1\n{v} {v} 0.5\n"
+                                    for v in range(3)))
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--graph", "complete:3", "--matrix", f"file:{path}",
+                 "--steps", "5", "--out", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "diffusim: lambda unavailable: second_eigenvalue requires a symmetric matrix",
+    ]
+    assert "# lambda= psi2=2.14422507 bound_thm3=8.989852931 bound_thm1_or_2=" in out.read_text()
+
+
 def test_cli_steps_auto_above_dense_limit_exit_2(tmp_path, capsys):
     assert main(["simulate", "--graph", "cycle:5000", "--out", str(tmp_path / "o.csv")]) == 2
     assert "above dense eigensolver limit" in capsys.readouterr().err

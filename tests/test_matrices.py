@@ -24,7 +24,7 @@ from diffusim import (
     second_eigenvalue,
     stationary_distribution,
 )
-from diffusim.matrices import matrix_from_text
+from diffusim.matrices import detailed_balance_pi, matrix_from_text
 from diffusim.verify import (
     figure_row_matrix,
     random_connected_graph,
@@ -195,6 +195,23 @@ def test_stationary_matches_weighted_degree_oracle():
         assert np.max(np.abs(power_apply(pi, P, 1) - pi)) <= 1e-10
         cl = classify(P)
         assert cl.reversible
+
+
+def test_detailed_balance_pi():
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        P, pi_exact = random_reversible_lazy_chain(int(rng.integers(2, 17)), rng)
+        assert np.max(np.abs(detailed_balance_pi(P) - pi_exact)) <= 1e-12
+    # periodic and not symmetric: power iteration would oscillate forever
+    star = custom_matrix([(0, u, 1 / 3) for u in (1, 2, 3)] + [(u, 0, 1.0) for u in (1, 2, 3)])
+    assert np.allclose(detailed_balance_pi(star), [1 / 2, 1 / 6, 1 / 6, 1 / 6], rtol=0, atol=1e-15)
+    cyclic = custom_matrix([(v, (v + 1) % 3, 0.4) for v in range(3)] + [(v, (v + 2) % 3, 0.1) for v in range(3)]
+                           + [(v, v, 0.5) for v in range(3)])
+    assert detailed_balance_pi(cyclic) is None  # doubly stochastic, not reversible
+    one_way = custom_matrix([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 0.5), (2, 1, 0.5)])
+    assert detailed_balance_pi(one_way) is None  # P[0,1] > 0 but P[1,0] = 0
+    with pytest.raises(NotIrreducibleError):
+        detailed_balance_pi(custom_matrix([(0, 0, 1.0), (1, 1, 1.0)]))
 
 
 def test_power_apply_t0_and_k2(lazy_k2):
