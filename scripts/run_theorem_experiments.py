@@ -2,7 +2,9 @@
 """Run the three headline discrepancy experiments and summarize violations.
 
 Writes one CSV per experiment into --out-dir and prints, per experiment, the
-fraction of trials whose final-step statistic stayed under its bound:
+fraction of trials whose final-step statistic stayed under its bound, the
+seconds the experiment took and its sampler rounds per second
+(trials x T / seconds):
 
   regular      lazy random walk sampler on a random 4-regular graph,
                discrepancy vs 18 sqrt(d ln N)
@@ -13,6 +15,7 @@ fraction of trials whose final-step statistic stayed under its bound:
 """
 import argparse
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -62,13 +65,16 @@ def main() -> int:
 
     all_ok = True
     for name, spec, viol_col in experiments:
+        start = time.perf_counter()
         header, rows = run_experiment(spec)
         path = out_dir / f"{name}.csv"
         write_csv(path, header, rows)
+        seconds = time.perf_counter() - start
         frac, t_final = final_fraction_ok(rows, viol_col)
         all_ok &= frac >= 0.95
         print(f"{name:11s} T={t_final:5d} trials={args.trials} "
-              f"fraction under bound={frac:.3f} -> {path}")
+              f"fraction under bound={frac:.3f} {seconds:.2f}s "
+              f"{args.trials * t_final / seconds:.0f} rounds/s -> {path}")
     return 0 if all_ok else 1
 
 

@@ -202,9 +202,9 @@ def dirichlet_identity_check(P: RoundMatrix, w: int, t: int,
 def psi2_bound_reversible(P: RoundMatrix, pi: np.ndarray | None = None) -> float:
     """sqrt(2 max_w pi_w / min over positive entries of pi_v P[v,u]);
     valid for reversible lazy chains."""
-    cl = classify(P)
-    if not cl.lazy:
+    if not P.lazy:  # before classify, whose stationary distribution may not converge
         raise UnsupportedMatrixError("bound requires a lazy chain (diagonal >= 1/2)")
+    cl = classify(P)
     if not cl.reversible:
         raise UnsupportedMatrixError("bound requires a reversible chain")
     if pi is None:

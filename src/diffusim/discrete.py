@@ -20,10 +20,14 @@ Two samplers are first-class:
   both trace settings: one uniform per boundary token, by vertex and then
   token index, from a single generator call per step. trace=True records
   the same draws, so tracing never changes the next configuration.
+
+block_stepper runs that routing path for a block of trials at once, each
+trial drawing from its own generator exactly as step_batch would.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -38,6 +42,7 @@ __all__ = [
     "deterministic_token_mask",
     "step_naive",
     "step_batch",
+    "block_stepper",
     "run",
     "step_send_floor2d",
     "step_send_round3d",
@@ -158,13 +163,23 @@ def deterministic_token_mask(P: RoundMatrix, v: int, x_v: int) -> np.ndarray:
     return mask
 
 
-def _route(loads: np.ndarray, P: RoundMatrix, rng):
+def _draws(rngs, v: np.ndarray, n: int) -> np.ndarray:
+    """One uniform per boundary token at flat vertex v. The tokens of trial
+    b = v // n draw from rngs[b] in one call, and trials come in order."""
+    if len(rngs) == 1:
+        return rngs[0].random(v.size)
+    counts = np.bincount(v // n, minlength=len(rngs)).tolist()
+    return np.concatenate([rng.random(c) for rng, c in zip(rngs, counts)])
+
+
+def _route(loads: np.ndarray, P, rngs, n: int):
     """step_batch's routing of one round: (interior, v, k, u, e).
 
     interior[i] counts the tokens whose window [k, k+1) lies inside the
     interval of matrix entry i. Boundary token k of vertex v drew u and goes
     to entry e. Boundary tokens are in row-major order, by vertex and then
-    token, and all their uniforms come from one rng.random call.
+    token. P is a RoundMatrix, or B copies of one tiled by _tile with loads
+    of length B*n; trial b's uniforms come from one rngs[b].random call.
     """
     hi = P.ends * loads[P.rows].astype(np.float64)  # interval ends in token units
     flo = np.floor(hi)
@@ -179,15 +194,38 @@ def _route(loads: np.ndarray, P: RoundMatrix, rng):
     cut = hi[e] - k                # the cut's offset in token k's window
     shared = (v[1:] == v[:-1]) & (k[1:] == k[:-1])  # the next cut splits the same token
     if not shared.any():
-        u = rng.random(e.size)
+        u = _draws(rngs, v, n)
         return interior, v, k, u, e + (u >= cut)
     # a token straddling several cuts draws once and goes left of the first
     # cut above u, or right of its last cut
     start = np.concatenate(([True], ~shared))
     first = np.flatnonzero(start)
-    u = rng.random(first.size)
+    u = _draws(rngs, v[first], n)
     below = cut <= u[np.cumsum(start) - 1]
     return interior, v[first], k[first], u, e[first] + np.add.reduceat(below, first)
+
+
+def _scatter(targets: np.ndarray, interior: np.ndarray, dest: np.ndarray, size: int) -> np.ndarray:
+    """New loads: each entry's interior tokens plus the boundary tokens at dest."""
+    new = np.bincount(targets, weights=interior, minlength=size)
+    return np.rint(new).astype(np.int64) + np.bincount(dest, minlength=size)
+
+
+def _tile(P: RoundMatrix, B: int):
+    """The routing arrays of I_B (x) P: copy b of P on vertices b*n..b*n+n-1.
+
+    Not a RoundMatrix: a block-diagonal chain is reducible, so its flags
+    would be wrong. B = 1 is P itself.
+    """
+    if B == 1:
+        return P
+    shift = np.arange(B)[:, None]
+    return SimpleNamespace(
+        indptr=np.append((P.indptr[:-1] + shift * P.ends.size).ravel(), B * P.ends.size),
+        rows=(P.rows + shift * P.n).ravel(),
+        targets=(P.targets + shift * P.n).ravel(),
+        ends=np.tile(P.ends, B),
+    )
 
 
 def _tokens(loads: np.ndarray):
@@ -231,11 +269,9 @@ def step_batch(x: LoadConfig, P: RoundMatrix, rng, trace: bool = False):
     if x.n != P.n:
         raise ValidationError(f"config has {x.n} vertices, matrix has {P.n}")
     loads = x.loads
-    interior, v, k, u, e = _route(loads, P, rng)
+    interior, v, k, u, e = _route(loads, P, (rng,), P.n)
     dest = P.targets[e]
-    new = np.bincount(P.targets, weights=interior, minlength=P.n)
-    new = np.rint(new).astype(np.int64) + np.bincount(dest, minlength=P.n)
-    cfg = _conserved(new, x.total)
+    cfg = _conserved(_scatter(P.targets, interior, dest, P.n), x.total)
     if not trace:
         return cfg
     starts = np.cumsum(loads) - loads
@@ -267,6 +303,25 @@ def step_naive(x: LoadConfig, P: RoundMatrix, rng, trace: bool = False):
     if trace:
         return cfg, StepTrace._split(loads, starts, dest, np.ones(r.size, dtype=bool), r)
     return cfg
+
+
+def block_stepper(P: RoundMatrix, rngs):
+    """step_batch for B = len(rngs) trials in lockstep: a function from the
+    trials' loads to their loads one round later.
+
+    The loads lie one trial after another (trial b at b*n..b*n+n-1) and are
+    routed over I_B (x) P in one pass. Trial b's boundary tokens draw from
+    rngs[b] in the single call step_batch would make, so each trial's stream
+    and next loads are exactly step_batch's. The new loads are unchecked:
+    the caller checks conservation per trial.
+    """
+    M, rngs = _tile(P, len(rngs)), tuple(rngs)
+
+    def step(loads: np.ndarray) -> np.ndarray:
+        interior, _, _, _, e = _route(loads, M, rngs, P.n)
+        return _scatter(M.targets, interior, M.targets[e], loads.size)
+
+    return step
 
 
 SAMPLERS = {"naive": step_naive, "batch": step_batch}
@@ -331,30 +386,25 @@ def step_send_partition(x: LoadConfig, g: Graph) -> LoadConfig:
     return _conserved(new, x.total)
 
 
-def _partial_fisher_yates(rng, m: int, r: int) -> np.ndarray:
-    """Uniform r-subset of range(m) as the first r slots of a partial shuffle."""
-    arr = np.arange(m)
-    for i in range(r):
-        j = i + int(rng.integers(0, m - i))
-        arr[i], arr[j] = arr[j], arr[i]
-    return arr[:r]
-
-
 def step_rsend(x: LoadConfig, g: Graph, rng) -> LoadConfig:
     """floor(x_v/(d+1)) to every neighbor and itself; the remainder goes to
-    that many distinct targets chosen uniformly without replacement."""
+    that many distinct targets chosen uniformly without replacement.
+
+    The d+1 slots of every vertex with a remainder r_v get one uniform key
+    each, from one rng.random call; the r_v slots with the smallest keys are
+    a uniform r_v-subset.
+    """
     d = g.regular_degree()
     if x.n != g.n:
         raise ValidationError("config and graph size mismatch")
     loads = x.loads
     q, r = np.divmod(loads, d + 1)
     new = q + _scatter_to_neighbors(g, np.repeat(q, d).reshape(g.n, d))
-    nbrs = g.neighbor_array()
-    for v in np.nonzero(r)[0]:
-        for slot in _partial_fisher_yates(rng, d + 1, int(r[v])):
-            tgt = v if slot == d else int(nbrs[v, slot])
-            new[tgt] += 1
-    return _conserved(new, x.total)
+    m = np.flatnonzero(r)
+    order = np.argsort(rng.random((m.size, d + 1)), axis=1)  # slots by ascending key
+    slots = np.column_stack((g.neighbor_array()[m], m))      # slot d is the vertex itself
+    chosen = np.take_along_axis(slots, order, axis=1)[np.arange(d + 1) < r[m, None]]
+    return _conserved(new + np.bincount(chosen, minlength=g.n), x.total)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Reproducibility contract: an identical ExperimentSpec (including the master
 seed) produces byte-identical CSV, regardless of --jobs. Per-trial
 generators derive from SeedSequence([master_seed, trial_index]) so growing
-the trial count never reshuffles earlier trials.
+the trial count never reshuffles earlier trials. Trials step in lockstep
+blocks, each trial drawing only from its own generator, so neither the block
+size nor --jobs (which maps blocks onto processes) changes a byte.
 """
 from __future__ import annotations
 
@@ -17,6 +19,9 @@ from . import analysis, continuous, discrete, graphs, matrices
 from .errors import DiffusimError, SizeLimitError, ValidationError
 
 CSV_HEADER = "trial,t,disc,max_dev,bound_thm3,bound_thm1_or_2,viol_thm3,viol_disc"
+# Trials step in lockstep blocks of max(1, BLOCK_ENTRIES // nnz) trials, so
+# the routing arrays of a block (I_B (x) P) stay cache-resident.
+BLOCK_ENTRIES = 2**14
 ALGORITHMS = (
     "alg2-naive",
     "alg2-batch",
@@ -105,10 +110,9 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
 
 
 def _make_stepper(algorithm: str, P: matrices.RoundMatrix, g: graphs.Graph | None):
+    """One-trial stepper of an algorithm without a batched kernel."""
     if algorithm == "alg2-naive":
         return lambda cfg, rng: discrete.step_naive(cfg, P, rng)
-    if algorithm == "alg2-batch":
-        return lambda cfg, rng: discrete.step_batch(cfg, P, rng)
     if algorithm in ("send-floor2d", "send-round3d", "send-partition", "rsend"):
         if g is None:
             raise ValidationError(f"algorithm {algorithm} needs a graph")
@@ -222,29 +226,54 @@ def _fmt(x: float | None) -> str:
     return "" if x is None else f"{x:.10g}"
 
 
-def _trial_rows(res: ResolvedExperiment, trial: int) -> list[str]:
-    rng = trial_rng(res.spec.seed, trial)
-    stepper = _make_stepper(res.spec.algorithm, res.matrix, res.graph)
+def _block_stepper(res: ResolvedExperiment, rngs):
+    """Flat loads of a block of trials -> their next flat loads.
+
+    alg2-batch routes the whole block at once (discrete.block_stepper); every
+    other algorithm steps each trial of the block with its own stepper.
+    Either way trial b draws only from rngs[b], as it would on its own.
+    """
+    P, total = res.matrix, res.x0.total
+    if res.spec.algorithm == "alg2-batch":
+        return discrete.block_stepper(P, rngs)
+    stepper = _make_stepper(res.spec.algorithm, P, res.graph)
+
+    def step(loads: np.ndarray) -> np.ndarray:
+        loads.flags.writeable = False  # its rows become LoadConfig views
+        return np.concatenate([stepper(discrete.LoadConfig(x, total), rng).loads
+                               for x, rng in zip(loads.reshape(len(rngs), P.n), rngs)])
+
+    return step
+
+
+def _block_rows(res: ResolvedExperiment, first: int, stop: int) -> list[str]:
+    """CSV rows of trials first..stop-1, stepped in lockstep, in trial order."""
+    B, n, total = stop - first, res.matrix.n, res.x0.total
+    rngs = [trial_rng(res.spec.seed, trial) for trial in range(first, stop)]
+    step = _block_stepper(res, rngs)
     record_set = set(res.record_ts)
-    rows = []
-
-    def emit(t: int, cfg: discrete.LoadConfig):
-        disc = int(cfg.loads.max() - cfg.loads.min())
-        dev = float(np.abs(cfg.loads - res.oracle[t]).max())
-        viol3 = "" if res.bound3 is None else str(int(dev > res.bound3))
-        viol_disc = "" if res.bound12 is None else str(int(disc > res.bound12))
-        rows.append(
-            f"{trial},{t},{disc},{dev:.10g},{_fmt(res.bound3)},{_fmt(res.bound12)},{viol3},{viol_disc}"
-        )
-
-    cfg = res.x0
-    if 0 in record_set:
-        emit(0, cfg)
-    for t in range(1, res.T + 1):
-        cfg = stepper(cfg, rng)
-        if t in record_set:
-            emit(t, cfg)
-    return rows
+    bound3, bound12 = _fmt(res.bound3), _fmt(res.bound12)
+    rows: list[list[str]] = [[] for _ in range(B)]
+    loads = np.tile(res.x0.loads, B)
+    for t in range(res.T + 1):
+        if t:
+            loads = step(loads)
+        X = loads.reshape(B, n)
+        sums, mins = X.sum(axis=1), X.min(axis=1)
+        bad = np.flatnonzero((sums != total) | (mins < 0))
+        if bad.size:
+            b = int(bad[0])
+            raise ValidationError(f"trial {first + b}, step {t}: total {int(sums[b])} "
+                                  f"(expected {total}), least load {int(mins[b])}")
+        if t not in record_set:
+            continue
+        discs = (X.max(axis=1) - mins).tolist()
+        devs = np.abs(X - res.oracle[t]).max(axis=1).tolist()
+        for b, (disc, dev) in enumerate(zip(discs, devs)):
+            viol3 = "" if res.bound3 is None else str(int(dev > res.bound3))
+            viol_disc = "" if res.bound12 is None else str(int(disc > res.bound12))
+            rows[b].append(f"{first + b},{t},{disc},{dev:.10g},{bound3},{bound12},{viol3},{viol_disc}")
+    return [row for trial_rows in rows for row in trial_rows]
 
 
 def run_experiment(spec: ExperimentSpec,
@@ -266,11 +295,14 @@ def run_experiment(spec: ExperimentSpec,
         f"bound_thm3={_fmt(res.bound3)} bound_{res.bound12_name or 'thm1_or_2'}={_fmt(res.bound12)}",
         CSV_HEADER,
     ]
+    B = max(1, BLOCK_ENTRIES // res.matrix.ends.size)
+    firsts = range(0, spec.trials, B)
+    stops = [min(first + B, spec.trials) for first in firsts]
     if spec.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            chunks = list(pool.map(_trial_rows, [res] * spec.trials, range(spec.trials)))
+            chunks = list(pool.map(_block_rows, [res] * len(firsts), firsts, stops))
     else:
-        chunks = [_trial_rows(res, trial) for trial in range(spec.trials)]
+        chunks = [_block_rows(res, first, stop) for first, stop in zip(firsts, stops)]
     rows = [row for chunk in chunks for row in chunk]
     return header, rows
 

@@ -31,6 +31,7 @@ from diffusim import (
     psi2_bound_symmetric,
     stationary_distribution,
 )
+from diffusim import matrices
 from diffusim.analysis import PSI_T_MAX_FALLBACK, PSI_TOL_DEFAULT, _divergence_series
 from diffusim.verify import (
     random_reversible_lazy_chain,
@@ -296,6 +297,18 @@ def test_psi2_bounds_reject_non_lazy():
         psi2_bound_symmetric(swap)
     with pytest.raises(UnsupportedMatrixError):
         psi2_bound_reversible(swap)
+
+
+def test_psi2_bound_reversible_checks_laziness_first(monkeypatch):
+    # the non-lazy walk on the 4-vertex star is periodic, so power iteration
+    # for its stationary distribution never converges; it must not be run
+    def refuse(P):
+        raise AssertionError("stationary distribution computed for a non-lazy chain")
+
+    monkeypatch.setattr(matrices, "stationary_distribution", refuse)
+    star = custom_matrix([(0, u, 1 / 3) for u in (1, 2, 3)] + [(u, 0, 1.0) for u in (1, 2, 3)])
+    with pytest.raises(UnsupportedMatrixError, match="lazy chain"):
+        psi2_bound_reversible(star)
 
 
 def test_psi2_bound_reversible_rejects_non_reversible():

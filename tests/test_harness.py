@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import diffusim
-from diffusim import ValidationError, convergence_time, lazy_rw_matrix, gen_cycle
+from diffusim import ValidationError, convergence_time, discrete, harness, lazy_rw_matrix, gen_cycle
 from diffusim.cli import main
 from diffusim.harness import (
     CSV_HEADER,
@@ -135,6 +135,102 @@ def test_jobs_do_not_change_bytes():
     h1, r1 = run_experiment(ExperimentSpec(jobs=1, **base))
     h2, r2 = run_experiment(ExperimentSpec(jobs=2, **base))
     assert (h1, r1) == (h2, r2)
+
+
+def _reference_rows(spec: ExperimentSpec) -> list[str]:
+    """CSV rows from a plain loop that steps one trial at a time."""
+    res = resolve(spec)
+    if spec.algorithm == "alg2-batch":
+        step = lambda cfg, rng: discrete.step_batch(cfg, res.matrix, rng)  # noqa: E731
+    else:
+        step = harness._make_stepper(spec.algorithm, res.matrix, res.graph)
+    fmt = lambda x: "" if x is None else f"{x:.10g}"  # noqa: E731
+    rows = []
+    for trial in range(spec.trials):
+        rng = trial_rng(spec.seed, trial)
+        cfg = res.x0
+        for t in range(res.T + 1):
+            if t:
+                cfg = step(cfg, rng)
+            if t in res.record_ts:
+                disc = int(cfg.loads.max() - cfg.loads.min())
+                dev = float(np.abs(cfg.loads - res.oracle[t]).max())
+                viol3 = "" if res.bound3 is None else str(int(dev > res.bound3))
+                viol_disc = "" if res.bound12 is None else str(int(disc > res.bound12))
+                rows.append(f"{trial},{t},{disc},{dev:.10g},{fmt(res.bound3)},"
+                            f"{fmt(res.bound12)},{viol3},{viol_disc}")
+    return rows
+
+
+LOCKSTEP_SPECS = {
+    # 4 tokens per vertex: every window sits inside one interval, nothing is drawn
+    "no-cuts": ExperimentSpec(graph="cycle:16", loads="uniform:64", steps="12", trials=5, seed=1),
+    # the star's centre row has 49 intervals of width 1/98: tokens straddle several cuts
+    "multi-straddle": ExperimentSpec(graph="star:50", matrix="metropolis", loads="point:40",
+                                     steps="30", trials=5, seed=2),
+    # nnz = 5120, so blocks of 3 trials: 7 trials span 3 blocks
+    "multi-block": ExperimentSpec(graph="hypercube:9", loads="random:5000:4", steps="6",
+                                  trials=7, seed=3),
+    "naive": ExperimentSpec(graph="star:12", matrix="metropolis", algorithm="alg2-naive",
+                            loads="point:30", steps="8", trials=5, seed=4),
+    "rsend": ExperimentSpec(graph="torus:3:4", algorithm="rsend", loads="point:100",
+                            steps="8", trials=5, seed=5),
+}
+
+
+@pytest.mark.parametrize("block_entries", [harness.BLOCK_ENTRIES, 100, 1])
+@pytest.mark.parametrize("name", list(LOCKSTEP_SPECS))
+def test_lockstep_rows_match_one_trial_at_a_time(monkeypatch, name, block_entries):
+    # any block size gives the rows of stepping each trial on its own
+    monkeypatch.setattr(harness, "BLOCK_ENTRIES", block_entries)
+    spec = LOCKSTEP_SPECS[name]
+    _, rows = run_experiment(spec)
+    assert rows == _reference_rows(spec)
+    if name == "no-cuts":
+        assert {row.split(",")[2] for row in rows} == {"0"}
+
+
+def test_lockstep_multi_straddle_happens():
+    # all 40 tokens sit on the centre, so its row holds every cut of round 1;
+    # fewer boundary tokens than cuts means some token straddles several
+    P = build_matrix("metropolis", build_graph("star:50"))
+    _, v, _, _, _ = discrete._route(build_loads("point:40", 50).loads, P,
+                                    (np.random.default_rng(0),), P.n)
+    cuts = np.flatnonzero(P.ends[P.indptr[0]:P.indptr[1]] * 40 % 1)
+    assert 0 < v.size < cuts.size
+
+
+def test_lockstep_jobs_over_blocks_same_bytes():
+    spec = LOCKSTEP_SPECS["multi-block"]
+    assert max(1, harness.BLOCK_ENTRIES // resolve(spec).matrix.ends.size) < spec.trials
+    h1, r1 = run_experiment(spec)
+    h2, r2 = run_experiment(ExperimentSpec(**{**vars(spec), "jobs": 2}))
+    assert (h1, r1) == (h2, r2)
+
+
+def test_lockstep_names_the_trial_that_lost_a_token(monkeypatch):
+    real = discrete.block_stepper
+    blocks = []
+
+    def lossy(P, rngs):  # the second trial of the second block loses a token
+        step = real(P, rngs)
+        blocks.append(len(rngs))
+        block = len(blocks)
+
+        def lossy_step(loads):
+            new = step(loads)
+            if block == 2:
+                new[P.n + int(np.argmax(new[P.n:2 * P.n]))] -= 1
+            return new
+
+        return lossy_step
+
+    monkeypatch.setattr(discrete, "block_stepper", lossy)
+    monkeypatch.setattr(harness, "BLOCK_ENTRIES", 100)  # cycle:16 has 48 entries: blocks of 2
+    spec = ExperimentSpec(graph="cycle:16", loads="point:160", steps="5", trials=4, seed=1)
+    with pytest.raises(ValidationError, match=r"^trial 3, step 1: total 159 \(expected 160\)"):
+        run_experiment(spec)
+    assert blocks == [2, 2]
 
 
 def test_trial_rng_is_stable():
