@@ -298,8 +298,8 @@ def run_experiment(spec: ExperimentSpec,
     B = max(1, BLOCK_ENTRIES // res.matrix.ends.size)
     firsts = range(0, spec.trials, B)
     stops = [min(first + B, spec.trials) for first in firsts]
-    if spec.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+    if spec.jobs > 1 and len(firsts) > 1:  # one block runs on one worker: skip the pool
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(spec.jobs, len(firsts))) as pool:
             chunks = list(pool.map(_block_rows, [res] * len(firsts), firsts, stops))
     else:
         chunks = [_block_rows(res, first, stop) for first, stop in zip(firsts, stops)]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2_contingency
 
 from diffusim import (
     LoadConfig,
@@ -32,8 +33,13 @@ from diffusim import (
     step_send_round3d,
     uniform_config,
 )
-from diffusim.discrete import MAX_TOTAL, SAMPLERS, loads_text, parse_loads_text
-from diffusim.verify import check_step_trace, figure_row_matrix, random_connected_graph
+from diffusim.discrete import MAX_TOTAL, SAMPLERS, block_stepper, loads_text, parse_loads_text
+from diffusim.verify import (
+    check_step_trace,
+    figure_row_matrix,
+    random_connected_graph,
+    sampler_equivalence_stats,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +493,48 @@ def test_totals_capped_at_2_pow_53():
         LoadConfig.from_loads([MAX_TOTAL, 1])
     with pytest.raises(ValidationError, match="exceeds"):
         LoadConfig.from_loads([2**62, 2**62])  # an int64 sum would wrap
+
+
+EDGE_CHAINS = {
+    # the centre row's 50 entries are 1/50 wide: narrower than a token at x_v = 1 or 2
+    "star-metropolis": metropolis_matrix(gen_star(50)),
+    "cycle-lazy": lazy_rw_matrix(gen_cycle(8)),
+}
+
+
+@pytest.mark.parametrize("hub", ["1", "2", "max-k", "max"])
+@pytest.mark.parametrize("chain", sorted(EDGE_CHAINS))
+@settings(max_examples=6, deadline=None)
+@given(k=st.integers(1, 16), rounds=st.integers(1, 4), seed=st.integers(0, 2**31 - 1))
+def test_exactness_edge_loads(chain, hub, k, rounds, seed):
+    # hub 0 holds 1, 2 or up to 2**53 tokens, its neighbour 1 the rest (at most k)
+    P = EDGE_CHAINS[chain]
+    x_v = {"1": 1, "2": 2, "max-k": MAX_TOTAL - k, "max": MAX_TOTAL}[hub]
+    loads = np.zeros(P.n, dtype=np.int64)
+    loads[0], loads[1] = x_v, min(k, MAX_TOTAL - x_v)
+    total = int(loads.sum())
+    reach = loads > 0
+    rng = np.random.default_rng(seed)
+    cfg = LoadConfig.from_loads(loads)
+    step = block_stepper(P, [np.random.default_rng([seed, b]) for b in range(3)])
+    block = np.tile(loads, 3)
+    for _ in range(rounds):
+        reach[P.targets[reach[P.rows]]] = True
+        cfg = step_batch(cfg, P, rng)
+        block = step(block)
+        for trial in (cfg.loads, *block.reshape(3, P.n)):
+            assert int(trial.sum()) == total
+            assert trial.min() >= 0
+            assert not trial[~reach].any()
+
+
+@pytest.mark.parametrize("seed, p_value", [
+    (0, 0.6632504753504236), (101, 0.8504277877279927), (102, 0.9264358841755408),
+])
+def test_sampler_equivalence_p_value_is_chi2_contingency(seed, p_value):
+    _, _, p, table = sampler_equivalence_stats(seed)
+    assert table.shape[0] == 2 and table.shape[1] >= 3  # dof >= 2: no Yates correction
+    assert p == chi2_contingency(table)[1] == p_value
 
 
 def test_loads_text_round_trip():

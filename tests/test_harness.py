@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import os
 import subprocess
@@ -129,10 +130,16 @@ def test_trial_rows_stable_under_trial_count_growth():
     assert rows3[: len(rows1)] == rows1
 
 
-def test_jobs_do_not_change_bytes():
+def test_jobs_do_not_change_bytes(monkeypatch):
+    # 4 trials are one block: jobs=2 runs it here, with no process pool
+    # (test_lockstep_jobs_over_blocks_same_bytes covers the pool)
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a single block must not start a process pool")
+
     base = dict(graph="cycle:16", loads="point:160", steps="12", stride=0,
                 seed=5, trials=4)
     h1, r1 = run_experiment(ExperimentSpec(jobs=1, **base))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     h2, r2 = run_experiment(ExperimentSpec(jobs=2, **base))
     assert (h1, r1) == (h2, r2)
 
@@ -347,17 +354,32 @@ def test_cli_oversize_total_exit_2(tmp_path, capsys, graph, loads):
     assert "exceeds 2**53" in capsys.readouterr().err
 
 
+def _src_env() -> dict[str, str]:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(diffusim.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_cli_oversize_total_exit_2_under_optimize(tmp_path):
     # python -O strips assert statements; the cap must hold without them
-    src = str(Path(diffusim.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "diffusim", "simulate", "--graph", "cycle:8",
          "--loads", "point:9007199254740999", "--steps", "3", "--out", str(tmp_path / "o.csv")],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_src_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 2, proc.stderr
     assert "exceeds 2**53" in proc.stderr
+
+
+def test_cli_import_loads_no_scipy_stats_or_special():
+    # scipy.stats costs ~0.5 s at import; only verify's chi-square needs scipy.special
+    proc = subprocess.run(
+        [sys.executable, "-c", "import diffusim.cli, sys; "
+         "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.special'))))"],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_usage_error_exit_1(capsys):
