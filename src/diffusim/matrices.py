@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from .errors import (
     NotConvergedError,
@@ -61,6 +59,7 @@ class RoundMatrix:
     targets: np.ndarray   # (nnz,) int64
     probs: np.ndarray     # (nnz,) float64, all positive
     ends: np.ndarray      # (nnz,) float64: interval ends, exactly 1.0 at a row's end
+    transpose: np.ndarray  # (nnz,) int64: the entry (u, v) of entry (v, u); -1 when absent
     symmetric: bool
     lazy: bool
     irreducible: bool
@@ -109,17 +108,24 @@ class RoundMatrix:
         last = indptr[1:] - 1
         ends = _running_sums(indptr, probs)
         ends[last] = 1.0
-        arrays = (indptr, rows, targets, probs, ends)
+        transpose = _transpose_index(key, targets * (n + 1) + np.where(col == n, n, rows))
+        arrays = (indptr, rows, targets, probs, ends, transpose)
         for arr in arrays:
             arr.flags.writeable = False
-        S = sparse.csr_matrix((probs, targets, indptr), shape=(n, n))
+        if np.all(transpose >= 0):
+            irreducible = _symmetric_support_connected(indptr, targets)
+        else:  # strong connectivity; only file: matrices get here, so scipy is imported here
+            from scipy.sparse import csgraph, csr_matrix
+
+            S = csr_matrix((probs, targets, indptr), shape=(n, n))
+            irreducible = bool(csgraph.connected_components(S, connection="strong")[0] == 1)
         diag = np.where(targets[last] == np.arange(n), probs[last], 0.0)
         return cls(
             n,
             *arrays,
-            symmetric=_max_abs(S - S.T) <= CLASSIFY_TOL,
+            symmetric=_transpose_gap(probs, transpose) <= CLASSIFY_TOL,
             lazy=bool(np.all(diag >= 0.5 - CLASSIFY_TOL)),
-            irreducible=bool(csgraph.connected_components(S, connection="strong")[0] == 1),
+            irreducible=irreducible,
         )
 
     def row(self, v: int) -> RowView:
@@ -151,9 +157,47 @@ class RoundMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _max_abs(A) -> float:
-    """Largest |entry| of a sparse matrix; 0.0 when it stores none."""
-    return float(abs(A).max()) if A.nnz else 0.0
+def _transpose_index(key: np.ndarray, tkey: np.ndarray) -> np.ndarray:
+    """For each entry, the index of the entry whose key is its transposed key
+    tkey, or -1; key is sorted and unique. Sorting tkey first makes the
+    search run over sorted queries, and on a symmetric support the sorted
+    tkey is key itself, so no search is needed."""
+    order = np.argsort(tkey, kind="stable")  # timsort: transposed keys come in sorted runs
+    found = tkey[order]
+    out = np.full(key.size, -1)
+    if np.array_equal(found, key):
+        out[order] = np.arange(key.size)
+        return out
+    pos = np.minimum(np.searchsorted(key, found), key.size - 1)
+    hit = key[pos] == found
+    out[order[hit]] = pos[hit]
+    return out
+
+
+def _transpose_gap(x: np.ndarray, transpose: np.ndarray) -> float:
+    """max |x[v,u] - x[u,v]| over the entries, an absent entry counting as
+    0: the largest |entry| of X - X^T."""
+    return float(np.max(np.abs(x - np.where(transpose >= 0, x[transpose], 0.0))))
+
+
+def _symmetric_support_connected(indptr: np.ndarray, targets: np.ndarray) -> bool:
+    """Connectivity of a symmetric support by hook and shortcut
+    (Shiloach-Vishkin). lab is a forest of stars whose roots are the
+    smallest vertices of their trees: each root hooks onto the smallest root
+    next to its tree, and pointer jumping makes stars again. Hooking roots,
+    not single vertices, merges whole trees: a randomly numbered cycle of
+    100000 vertices takes 11 rounds, where lowering each vertex's own label
+    takes about n / 4. Vertex 0 stays a root, so the support is connected
+    when every label is 0. Every row is non-empty, which reduceat needs."""
+    lab = np.arange(indptr.size - 1)
+    while lab.any():
+        hooked = lab.copy()
+        np.minimum.at(hooked, lab, np.minimum.reduceat(lab[targets], indptr[:-1]))
+        if np.array_equal(hooked, lab):  # no tree has a smaller neighbor
+            return False
+        while not np.array_equal(lab, hooked):
+            lab, hooked = hooked, hooked[hooked]
+    return True
 
 
 def _running_sums(indptr: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -282,9 +326,7 @@ def stationary_distribution(P: RoundMatrix, max_iter: int = 500_000) -> np.ndarr
 
 def is_reversible(P: RoundMatrix, pi: np.ndarray) -> bool:
     """Detailed balance pi_v P[v,u] == pi_u P[u,v] within 1e-10."""
-    flow = sparse.csr_matrix((np.asarray(pi)[P.rows] * P.probs, P.targets, P.indptr),
-                             shape=(P.n, P.n))
-    return _max_abs(flow - flow.T) <= DETAILED_BALANCE_TOL
+    return _transpose_gap(np.asarray(pi)[P.rows] * P.probs, P.transpose) <= DETAILED_BALANCE_TOL
 
 
 def detailed_balance_pi(P: RoundMatrix) -> np.ndarray | None:
@@ -301,6 +343,9 @@ def detailed_balance_pi(P: RoundMatrix) -> np.ndarray | None:
     if P.symmetric:
         pi = np.full(P.n, 1.0 / P.n)
     else:
+        from scipy import sparse  # here, not at the top: symmetric chains never get here
+        from scipy.sparse import csgraph
+
         S = sparse.csr_matrix((P.probs, P.targets, P.indptr), shape=(P.n, P.n))
         order, pred = csgraph.breadth_first_order(S, 0, return_predecessors=True)
         child = order[1:]

@@ -334,6 +334,13 @@ def test_cli_simulate_non_reversible_matrix_file(tmp_path, capsys):
     assert "# lambda= psi2=2.14422507 bound_thm3=8.989852931 bound_thm1_or_2=" in out.read_text()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cli_jobs_below_one_exit_2(tmp_path, capsys, jobs):
+    assert main(["simulate", "--graph", "cycle:8", "--steps", "3", "--jobs", jobs,
+                 "--out", str(tmp_path / "o.csv")]) == 2
+    assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+
+
 def test_cli_steps_auto_above_dense_limit_exit_2(tmp_path, capsys):
     assert main(["simulate", "--graph", "cycle:5000", "--out", str(tmp_path / "o.csv")]) == 2
     assert "above dense eigensolver limit" in capsys.readouterr().err
@@ -371,15 +378,20 @@ def test_cli_oversize_total_exit_2_under_optimize(tmp_path):
     assert "exceeds 2**53" in proc.stderr
 
 
-def test_cli_import_loads_no_scipy_stats_or_special():
-    # scipy.stats costs ~0.5 s at import; only verify's chi-square needs scipy.special
+def test_cli_simulate_symmetric_chains_loads_no_scipy(tmp_path):
+    # scipy.sparse costs ~0.4 s at import; a symmetric support needs none of
+    # it, and only verify's chi-square needs scipy.special
+    runs = [["simulate", "--graph", graph, "--matrix", matrix, "--loads", "point:100", "--steps", "3",
+             "--trials", "2", "--out", str(tmp_path / f"{matrix}.csv")]
+            for graph, matrix in (("cycle:64", "lazy-rw"), ("star:50", "metropolis"))]
     proc = subprocess.run(
-        [sys.executable, "-c", "import diffusim.cli, sys; "
-         "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.special'))))"],
+        [sys.executable, "-c", "import sys; from diffusim import cli; "
+         f"codes = [cli.main(args) for args in {runs!r}]; "
+         "print(codes, sorted(m for m in sys.modules if m.startswith('scipy')))"],
         env=_src_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
 
 
 def test_cli_usage_error_exit_1(capsys):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from diffusim import (
     Graph,
@@ -24,7 +26,14 @@ from diffusim import (
     second_eigenvalue,
     stationary_distribution,
 )
-from diffusim.matrices import detailed_balance_pi, matrix_from_text
+from diffusim.matrices import (
+    CLASSIFY_TOL,
+    DETAILED_BALANCE_TOL,
+    RoundMatrix,
+    detailed_balance_pi,
+    is_reversible,
+    matrix_from_text,
+)
 from diffusim.verify import (
     figure_row_matrix,
     random_connected_graph,
@@ -328,3 +337,92 @@ def test_construction_golden_digests():
         "reversible-12": "b70470008cd9fa65a87f51fdd8e1fe24e64f371d71a14302c930b2180496db40",
         "symmetric-12": "dbf65c39e231634af55c117e47cb211cc4a596111be9d3c58520549bf1114c75",
     }
+
+
+CHAIN_KINDS = ("symmetric", "near-symmetric", "reducible", "directed-cycle", "one-way", "reversible")
+
+
+def _random_chain(kind, n, gap, rng):
+    """(rows, targets, probs, pi) of a random row-stochastic chain of one
+    kind, with distinct positive entries and randomly numbered vertices.
+    pi is the stationary distribution of a reversible chain, else uniform.
+    gap is added to one entry of an edge, or is the unpaired entry of a
+    near-symmetric chain, to probe the symmetric flag's tolerance."""
+    v = np.arange(n)
+    pi = np.full(n, 1.0 / n)
+    if kind in ("directed-cycle", "one-way"):
+        a = v if kind == "directed-cycle" else v[:-1]
+        b = (a + 1) % n
+        off = np.full(a.size, rng.choice([0.5, 1.0]))
+    else:
+        a, b = np.triu_indices(n, 1)
+        pick = rng.random(a.size) < rng.uniform(0.1, 0.9)
+        if kind == "reducible":
+            pick &= (a < n // 2) == (b < n // 2)
+        pick[:1] = True  # at least one edge
+        a, b = a[pick], b[pick]
+        w = rng.uniform(0.1, 1.0, a.size)
+        m = a.size
+        a, b, w = np.concatenate((a, b)), np.concatenate((b, a)), np.concatenate((w, w))
+        if kind == "reversible":
+            W = np.bincount(a, w, minlength=n) + rng.uniform(0.0, 1.0, n)
+            off, pi = w / W[a], W / W.sum()
+        else:  # entry i and entry i + m are the two directions of one edge
+            off = w / (np.bincount(a, w, minlength=n).max() + 1.0)
+            off[0] += gap
+        if kind == "near-symmetric":  # one unpaired entry, at most the tolerance
+            off[0], off[m] = gap if 0 < gap <= CLASSIFY_TOL else rng.uniform(1e-15, CLASSIFY_TOL), 0.0
+    keep = off > 0
+    a, b, off = a[keep], b[keep], off[keep]
+    self_p = 1.0 - np.bincount(a, off, minlength=n)
+    has_self = self_p > 0
+    rows, targets = np.concatenate((a, v[has_self])), np.concatenate((b, v[has_self]))
+    probs = np.concatenate((off, self_p[has_self]))
+    perm = rng.permutation(n)
+    pi_perm = np.empty(n)
+    pi_perm[perm] = pi
+    return perm[rows], perm[targets], probs, pi_perm
+
+
+def _reference_flags(n, rows, targets, probs, pi):
+    """symmetric, irreducible and reversible flags computed with scipy.sparse."""
+
+    def max_abs(A):
+        return float(abs(A).max()) if A.nnz else 0.0
+
+    S = sparse.csr_matrix((probs, (rows, targets)), shape=(n, n))
+    F = sparse.csr_matrix((pi[rows] * probs, (rows, targets)), shape=(n, n))
+    return (max_abs(S - S.T) <= CLASSIFY_TOL,
+            bool(csgraph.connected_components(S, connection="strong")[0] == 1),
+            max_abs(F - F.T) <= DETAILED_BALANCE_TOL)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(CHAIN_KINDS), n=st.integers(2, 24), seed=st.integers(0, 2**32 - 1),
+       gap=st.sampled_from([0.0, 5e-13, 1e-12, 2e-12]))
+def test_flags_equal_scipy_reference(kind, n, seed, gap):
+    rng = np.random.default_rng(seed)
+    rows, targets, probs, pi = _random_chain(kind, n, gap, rng)
+    P = RoundMatrix.from_entries(n, rows, targets, probs)
+    for weights in (pi, rng.dirichlet(np.ones(n))):
+        symmetric, irreducible, reversible = _reference_flags(n, rows, targets, probs, weights)
+        assert (P.symmetric, P.irreducible, is_reversible(P, weights)) == (symmetric, irreducible, reversible)
+    if kind == "near-symmetric":
+        assert P.symmetric and np.any(P.transpose < 0)
+    if kind == "reversible":
+        assert is_reversible(P, pi)
+
+
+def test_irreducible_on_randomly_numbered_cycles():
+    # vertex numbers in no relation to the cycle, so hooking takes many rounds
+    n, half = 5000, 2500
+    perm = np.random.default_rng(5).permutation(n)
+    v = np.arange(n)
+    one_cycle = (v + 1) % n
+    two_cycles = v - v % half + (v + 1) % half
+    for nxt, expected in ((one_cycle, True), (two_cycles, False)):
+        a, b = perm[v], perm[nxt]
+        P = RoundMatrix.from_entries(n, np.concatenate((a, b, v)), np.concatenate((b, a, v)),
+                                     np.concatenate((np.full(2 * n, 0.25), np.full(n, 0.5))))
+        assert P.symmetric and np.all(P.transpose >= 0)
+        assert P.irreducible == expected
