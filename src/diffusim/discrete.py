@@ -141,12 +141,16 @@ def destination_distribution(row: RowView, x_v: int, k) -> np.ndarray:
     one row per index.
     """
     k = np.asarray(k)
-    if k.min() < 0 or k.max() >= x_v:
-        raise ValidationError(f"token index {k} out of range for {x_v} loads")
+    bad = (k < 0) | (k >= x_v)
+    if bad.any():
+        raise ValidationError(f"token index {k.flat[np.argmax(bad)]} out of range for {x_v} loads")
     t = row.prefix * float(x_v)
-    lo = k.astype(np.float64)[..., None]
-    p = np.minimum(lo + 1, t[1:]) - np.maximum(lo, t[:-1])
-    return np.maximum(p, 0.0)
+    return _overlap(k.astype(np.float64)[..., None], t[:-1], t[1:])
+
+
+def _overlap(k: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray) -> np.ndarray:
+    """Length of token window [k, k+1) inside interval [t_lo, t_hi), in token units."""
+    return np.maximum(np.minimum(k + 1, t_hi) - np.maximum(k, t_lo), 0.0)
 
 
 def deterministic_token_mask(P: RoundMatrix, v: int, x_v: int) -> np.ndarray:
@@ -172,6 +176,16 @@ def _draws(rngs, v: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([rng.random(c) for rng, c in zip(rngs, counts)])
 
 
+def _token_intervals(P, loads: np.ndarray):
+    """(lo, hi): the row interval of every matrix entry, scaled by its row's
+    load into token units, the same products as row.prefix * x_v."""
+    hi = P.ends * loads[P.rows].astype(np.float64)
+    lo = np.empty_like(hi)
+    lo[1:] = hi[:-1]
+    lo[P.indptr[:-1]] = 0.0
+    return lo, hi
+
+
 def _route(loads: np.ndarray, P, rngs, n: int):
     """step_batch's routing of one round: (interior, v, k, u, e).
 
@@ -181,11 +195,8 @@ def _route(loads: np.ndarray, P, rngs, n: int):
     token. P is a RoundMatrix, or B copies of one tiled by _tile with loads
     of length B*n; trial b's uniforms come from one rngs[b].random call.
     """
-    hi = P.ends * loads[P.rows].astype(np.float64)  # interval ends in token units
+    lo, hi = _token_intervals(P, loads)
     flo = np.floor(hi)
-    lo = np.empty_like(hi)                          # interval starts
-    lo[1:] = hi[:-1]
-    lo[P.indptr[:-1]] = 0.0
     interior = flo - np.ceil(lo)
     np.maximum(interior, 0.0, out=interior)
     e = np.flatnonzero(hi != flo)  # cuts inside a window; a row's last end x_v is whole

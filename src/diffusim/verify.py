@@ -139,37 +139,59 @@ def _dirichlet_chain_set(seed: int, count: int = 25):
 
 
 def check_step_trace(P: matrices.RoundMatrix, trace: discrete.StepTrace) -> list[str]:
-    """Violations of outflow, support, and the two <=2 discrepancy lemmas."""
-    violations = []
+    """Violations of outflow, support, and the two <=2 discrepancy lemmas.
+
+    One flat pass over every (token, row entry) pair of the step: a vertex
+    whose outflow differs from its load, or that has a token outside its
+    row's support, gets that one message and no further check. Messages come
+    in vertex order, and a vertex's in the order of the lemmas.
+    """
     x = trace.loads_before
-    for v in range(P.n):
-        x_v = int(x[v])
-        dest = trace.destinations[v]
-        if dest.size != x_v:
-            violations.append(f"v={v}: outflow {dest.size} != load {x_v}")
+    sizes = np.array([d.size for d in trace.destinations])
+    outflow = sizes != x
+    loads = np.where(outflow, 0, x)
+    dest = np.concatenate(trace.destinations)[np.repeat(~outflow, sizes)]
+    v, k, starts = discrete._tokens(loads)
+    # the pairs of token i are the entries of its vertex's row, in row order
+    first = P.indptr[v]
+    deg = P.indptr[v + 1] - first
+    tok = np.repeat(np.arange(v.size), deg)
+    e = np.arange(tok.size) - np.repeat(np.cumsum(deg) - deg - first, deg)
+    lo, hi = discrete._token_intervals(P, loads)
+    p = discrete._overlap(k.astype(np.float64)[tok], lo[e], hi[e])
+    hit = dest[tok] == P.targets[e]   # a row's targets are distinct: at most one per token
+    gap = np.abs(hit - p)
+    # per token
+    missed = np.bincount(tok[hit], minlength=v.size) == 0
+    zero = np.bincount(tok[hit & (p <= 0.0)], minlength=v.size) > 0
+    over_token = np.bincount(tok, gap, minlength=v.size) > 2.0 + LEMMA_SUM_TOL
+    # per row entry
+    over_nbr = np.bincount(e, gap, minlength=P.rows.size) > 2.0 + LEMMA_SUM_TOL
+    nondet = np.bincount(e, (p > 0.0) & (p < 1.0), minlength=P.rows.size) > 2
+
+    flagged = outflow.copy()
+    flagged[v[missed | zero | over_token]] = True
+    flagged[P.rows[over_nbr | nondet]] = True
+    violations = []
+    for w in np.flatnonzero(flagged).tolist():
+        toks = slice(starts[w], starts[w] + loads[w])
+        row = slice(P.indptr[w], P.indptr[w + 1])
+        if outflow[w]:
+            violations.append(f"v={w}: outflow {sizes[w]} != load {x[w]}")
             continue
-        if x_v == 0:
+        if missed[toks].any():
+            i = int(np.argmax(missed[toks]))
+            violations.append(f"v={w} token {i}: destination {dest[toks][i]} outside row support")
             continue
-        row = P.row(v)
-        probs = discrete.destination_distribution(row, x_v, np.arange(x_v))
-        onehot = dest[:, None] == row.targets  # a row's targets are distinct
-        hit = onehot.any(axis=1)
-        if not hit.all():
-            i = int(np.argmin(hit))
-            violations.append(f"v={v} token {i}: destination {int(dest[i])} outside row support")
-            continue
-        chosen = probs[onehot]
-        if np.any(chosen <= 0.0):
-            ks = np.nonzero(chosen <= 0.0)[0]
-            violations.append(f"v={v}: tokens {ks.tolist()} routed to zero-probability targets")
-        gap = np.abs(onehot - probs)
-        if np.any(gap.sum(axis=1) > 2.0 + LEMMA_SUM_TOL):
-            violations.append(f"v={v}: per-token discrepancy sum exceeds 2")
-        if np.any(gap.sum(axis=0) > 2.0 + LEMMA_SUM_TOL):
-            violations.append(f"v={v}: per-neighbor discrepancy sum exceeds 2")
-        nondet = ((probs > 0.0) & (probs < 1.0)).sum(axis=0)
-        if np.any(nondet > 2):
-            violations.append(f"v={v}: more than 2 non-deterministic tokens for one neighbor")
+        if zero[toks].any():
+            violations.append(f"v={w}: tokens {np.flatnonzero(zero[toks]).tolist()} "
+                              f"routed to zero-probability targets")
+        if over_token[toks].any():
+            violations.append(f"v={w}: per-token discrepancy sum exceeds 2")
+        if over_nbr[row].any():
+            violations.append(f"v={w}: per-neighbor discrepancy sum exceeds 2")
+        if nondet[row].any():
+            violations.append(f"v={w}: more than 2 non-deterministic tokens for one neighbor")
     return violations
 
 
@@ -367,14 +389,15 @@ def sampler_equivalence_stats(seed: int = 0, samples: int = 10_000):
     counts = {}
     det_sets_equal = True
     support_sets_equal = True
+    col = np.zeros(P.n, dtype=np.int64)   # the table column of each row target
+    col[row.targets] = np.arange(row.targets.size)
+    tokens = np.arange(x_hub)
     for si, sampler in enumerate(("naive", "batch")):
         rng = np.random.default_rng(seed + si)
         table = np.zeros((x_hub, row.targets.size), dtype=np.int64)
-        pos = {int(u): i for i, u in enumerate(row.targets)}
         for _ in range(samples):
             _, tr = discrete.SAMPLERS[sampler](x0, P, rng, trace=True)
-            dest = tr.destinations[hub]
-            table[np.arange(x_hub), [pos[int(u)] for u in dest]] += 1
+            table[tokens, col[tr.destinations[hub]]] += 1
             if sampler == "batch" and not np.array_equal(~tr.sampled[hub], det_mask):
                 det_sets_equal = False
         counts[sampler] = table

@@ -35,9 +35,12 @@ from diffusim import (
 )
 from diffusim.discrete import MAX_TOTAL, SAMPLERS, block_stepper, loads_text, parse_loads_text
 from diffusim.verify import (
+    LEMMA_SUM_TOL,
     check_step_trace,
     figure_row_matrix,
     random_connected_graph,
+    random_reversible_lazy_chain,
+    random_symmetric_lazy_chain,
     sampler_equivalence_stats,
 )
 
@@ -76,6 +79,20 @@ def test_destination_distribution_exact_overlap(lazy_triangle):
 def test_destination_distribution_out_of_range(lazy_triangle):
     with pytest.raises(ValidationError):
         destination_distribution(lazy_triangle.row(0), 2, 2)
+
+
+def test_destination_distribution_out_of_range_names_first_index():
+    row = figure_row_matrix().row(4)
+    with pytest.raises(ValidationError, match=r"^token index 5 out of range for 5 loads$"):
+        destination_distribution(row, 5, np.arange(7))
+    with pytest.raises(ValidationError, match=r"^token index -1 out of range for 5 loads$"):
+        destination_distribution(row, 5, [2, -1, 9])
+
+
+def test_destination_distribution_empty_index():
+    row = figure_row_matrix().row(4)
+    p = destination_distribution(row, 5, np.arange(0))
+    assert p.shape == (0, row.targets.size)
 
 
 @settings(max_examples=40, deadline=None)
@@ -224,6 +241,73 @@ def test_check_step_trace_reports_bad_destinations(lazy_cycle16):
     tr.destinations[0][5] = 15         # token 5 of 32 lies inside the interval of neighbor 1
     assert check_step_trace(lazy_cycle16, tr)[0] == (
         "v=0: tokens [5] routed to zero-probability targets")
+
+
+def _reference_check_step_trace(P, trace):
+    """check_step_trace as a loop over vertices, one destination_distribution
+    call per loaded vertex."""
+    violations = []
+    x = trace.loads_before
+    for v in range(P.n):
+        x_v = int(x[v])
+        dest = trace.destinations[v]
+        if dest.size != x_v:
+            violations.append(f"v={v}: outflow {dest.size} != load {x_v}")
+            continue
+        if x_v == 0:
+            continue
+        row = P.row(v)
+        probs = destination_distribution(row, x_v, np.arange(x_v))
+        onehot = dest[:, None] == row.targets  # a row's targets are distinct
+        hit = onehot.any(axis=1)
+        if not hit.all():
+            i = int(np.argmin(hit))
+            violations.append(f"v={v} token {i}: destination {int(dest[i])} outside row support")
+            continue
+        chosen = probs[onehot]
+        if np.any(chosen <= 0.0):
+            ks = np.nonzero(chosen <= 0.0)[0]
+            violations.append(f"v={v}: tokens {ks.tolist()} routed to zero-probability targets")
+        gap = np.abs(onehot - probs)
+        if np.any(gap.sum(axis=1) > 2.0 + LEMMA_SUM_TOL):
+            violations.append(f"v={v}: per-token discrepancy sum exceeds 2")
+        if np.any(gap.sum(axis=0) > 2.0 + LEMMA_SUM_TOL):
+            violations.append(f"v={v}: per-neighbor discrepancy sum exceeds 2")
+        nondet = ((probs > 0.0) & (probs < 1.0)).sum(axis=0)
+        if np.any(nondet > 2):
+            violations.append(f"v={v}: more than 2 non-deterministic tokens for one neighbor")
+    return violations
+
+
+TRACE_CHAINS = {
+    "metropolis": lambda n, rng: metropolis_matrix(random_connected_graph(n, rng)),
+    "reversible-lazy": lambda n, rng: random_reversible_lazy_chain(n, rng)[0],
+    "symmetric-lazy": random_symmetric_lazy_chain,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), chain=st.sampled_from(sorted(TRACE_CHAINS)),
+       sampler=st.sampled_from(["naive", "batch"]), corruptions=st.integers(0, 3))
+def test_check_step_trace_matches_reference_loop(seed, chain, sampler, corruptions):
+    rng = np.random.default_rng(seed)
+    P = TRACE_CHAINS[chain](int(rng.integers(2, 12)), rng)
+    cfg = random_config(P.n, int(rng.integers(0, 20 * P.n)), seed)
+    _, tr = SAMPLERS[sampler](cfg, P, rng, trace=True)
+    assert check_step_trace(P, tr) == _reference_check_step_trace(P, tr) == []
+    loaded = np.flatnonzero(tr.loads_before)
+    for v in rng.choice(loaded, size=min(corruptions, loaded.size), replace=False):
+        d = tr.destinations[v].copy()
+        i, j = rng.integers(0, d.size, size=2)
+        kind = int(rng.integers(0, 3))
+        if kind == 0:    # moved to a random vertex, mostly off the row's support
+            d[i] = rng.integers(0, P.n)
+        elif kind == 1:  # two tokens swapped, often onto a zero-probability target
+            d[[i, j]] = d[[j, i]]
+        else:            # a token dropped or duplicated: outflow != load
+            d = np.delete(d, i) if rng.random() < 0.5 else np.insert(d, i, d[i])
+        tr.destinations[v] = d
+    assert check_step_trace(P, tr) == _reference_check_step_trace(P, tr)
 
 
 def test_batch_trace_consumes_the_same_draws(lazy_triangle):

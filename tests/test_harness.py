@@ -425,6 +425,12 @@ def test_cli_verify_single_suite(capsys):
     assert "[PASS] prop1" in capsys.readouterr().out
 
 
+def test_cli_verify_lemmas_output_pinned(capsys):
+    assert main(["verify", "--suite", "lemmas", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == (
+        "[PASS] lemmas: zero violations over 113400 vertex-steps (113400 checks)\n")
+
+
 def test_cli_verify_failure_exit_3(monkeypatch, capsys):
     monkeypatch.setitem(
         SUITES, "prop1",
