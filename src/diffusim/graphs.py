@@ -6,10 +6,8 @@ so downstream matrix rows are reproducible.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -19,53 +17,70 @@ from .errors import GenerationError, ValidationError
 MAX_REGULAR_RESTARTS = 10_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable simple connected graph with sorted adjacency lists.
+    """Immutable simple connected graph in compressed sparse row form.
 
-    Derived values (the common degree, the neighbor array) are computed on
-    first use and kept for the life of the graph."""
+    Vertex v's neighbors are targets[indptr[v]:indptr[v+1]], ascending. Both
+    arrays are int64 and read-only, laid out as RoundMatrix's arrays of the
+    same names. Derived values (the common degree, the neighbor array) are
+    computed on first use and kept for the life of the graph."""
 
     n: int
-    adjacency: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray    # (n+1,) int64: v's neighbors are targets[indptr[v]:indptr[v+1]]
+    targets: np.ndarray   # (2m,) int64
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        """Build and validate a graph from an iterable of (u, v) pairs.
+        """Build and validate a graph from (u, v) pairs: an iterable of
+        pairs or an (m, 2) array.
 
         Duplicate edges collapse; self-loops and out-of-range endpoints are
-        rejected. The result must be connected.
+        rejected, the first bad edge in input order named. The result must
+        be connected.
         """
         if n < 1:
             raise ValidationError(f"vertex count must be >= 1, got {n}")
-        nbrs: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValidationError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValidationError(f"self-loop at vertex {u} not allowed")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        g = cls(n=n, adjacency=tuple(tuple(sorted(s)) for s in nbrs))
-        if not g.is_connected():
+        try:
+            e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        except OverflowError:
+            raise ValidationError("vertex index beyond the int64 range") from None
+        if e.size == 0:
+            e = e.reshape(0, 2)
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise ValidationError(f"edges must be (u, v) pairs, got shape {e.shape}")
+        u, v = e[:, 0], e[:, 1]
+        bad = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v))
+        if bad.size:
+            a, b = int(u[bad[0]]), int(v[bad[0]])
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValidationError(f"edge ({a},{b}) out of range for n={n}")
+            raise ValidationError(f"self-loop at vertex {a} not allowed")
+        if len(e) < n - 1:  # before any n-sized array; also keeps u*n+v within int64
             raise ValidationError("graph is not connected")
-        return g
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        key = np.concatenate((u * n + v, v * n + u))
+        key.sort()
+        # sort plus mask, not np.unique: numpy 2.4's hash path is ~60x slower here
+        key = key[np.diff(key, prepend=-1) != 0]
+        rows, targets = np.divmod(key, n)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+        if not _symmetric_support_connected(indptr, targets):
+            raise ValidationError("graph is not connected")
+        indptr.flags.writeable = False
+        targets.flags.writeable = False
+        return cls(n, indptr, targets)
 
     def degrees(self) -> np.ndarray:
-        return np.array([len(a) for a in self.adjacency], dtype=np.int64)
+        return np.diff(self.indptr)
 
     @property
     def d_max(self) -> int:
-        return max(len(a) for a in self.adjacency)
+        return int(self.degrees().max())
 
     @cached_property
     def _common_degree(self) -> int | None:
-        degs = {len(a) for a in self.adjacency}
-        return degs.pop() if len(degs) == 1 else None
+        degs = self.degrees()
+        return int(degs[0]) if np.all(degs == degs[0]) else None
 
     def is_regular(self) -> bool:
         return self._common_degree is not None
@@ -78,90 +93,83 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edges as (u, v) with u < v, sorted."""
-        return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
-
-    def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        seen = [False] * self.n
-        seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for v in self.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    queue.append(v)
-        return count == self.n
-
-    def flat_adjacency(self) -> np.ndarray:
-        """Every neighbor list concatenated in vertex order (int64)."""
-        return np.fromiter(chain.from_iterable(self.adjacency), dtype=np.int64)
+        rows = np.repeat(np.arange(self.n), self.degrees())
+        up = rows < self.targets
+        return list(zip(rows[up].tolist(), self.targets[up].tolist()))
 
     @cached_property
     def _neighbor_array(self) -> np.ndarray:
-        nbrs = self.flat_adjacency().reshape(self.n, self.regular_degree())
-        nbrs.flags.writeable = False
-        return nbrs
+        return self.targets.reshape(self.n, self.regular_degree())
 
     def neighbor_array(self) -> np.ndarray:
-        """(n, d) neighbor index matrix for a regular graph; read-only, built
-        once per graph, since the deterministic baselines read it every round."""
+        """(n, d) neighbor index matrix for a regular graph; a read-only view
+        of targets, kept for the life of the graph."""
         return self._neighbor_array
+
+
+def _symmetric_support_connected(indptr: np.ndarray, targets: np.ndarray) -> bool:
+    """Connectivity of a symmetric support in CSR form by hook and shortcut
+    (Shiloach-Vishkin). lab is a forest of stars whose roots are the
+    smallest vertices of their trees: each root hooks onto the smallest root
+    next to its tree, and pointer jumping makes stars again. Hooking roots,
+    not single vertices, merges whole trees: a randomly numbered cycle of
+    100000 vertices takes 11 rounds, where lowering each vertex's own label
+    takes about n / 4. Vertex 0 stays a root, so the support is connected
+    when every label is 0. An empty row is an isolated vertex, and reduceat
+    needs non-empty rows, so one is rejected first when n > 1."""
+    lab = np.arange(indptr.size - 1)
+    if lab.size > 1 and np.any(indptr[1:] == indptr[:-1]):
+        return False
+    while lab.any():
+        hooked = lab.copy()
+        np.minimum.at(hooked, lab, np.minimum.reduceat(lab[targets], indptr[:-1]))
+        if np.array_equal(hooked, lab):  # no tree has a smaller neighbor
+            return False
+        while not np.array_equal(lab, hooked):
+            lab, hooked = hooked, hooked[hooked]
+    return True
 
 
 def gen_cycle(n: int) -> Graph:
     """Cycle on n >= 3 vertices; vertex i adjacent to (i +- 1) mod n."""
     if n < 3:
         raise ValidationError(f"cycle needs n >= 3, got {n}")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    i = np.arange(n)
+    return Graph.from_edges(n, np.column_stack((i, (i + 1) % n)))
 
 
 def gen_hypercube(dim: int) -> Graph:
     """dim-dimensional hypercube on 2**dim vertices; i ~ j iff they differ in one bit."""
     if dim < 1:
         raise ValidationError(f"hypercube needs dim >= 1, got {dim}")
-    n = 1 << dim
-    edges = []
-    for i in range(n):
-        for b in range(dim):
-            j = i ^ (1 << b)
-            if i < j:
-                edges.append((i, j))
-    return Graph.from_edges(n, edges)
+    i = np.arange(1 << dim)
+    j = i[:, None] ^ (1 << np.arange(dim))
+    return Graph.from_edges(i.size, np.column_stack((np.repeat(i, dim), j.ravel())))
 
 
 def gen_star(n: int) -> Graph:
     """Star on n >= 2 vertices; vertex 0 is the center."""
     if n < 2:
         raise ValidationError(f"star needs n >= 2, got {n}")
-    return Graph.from_edges(n, [(0, i) for i in range(1, n)])
+    leaves = np.arange(1, n)
+    return Graph.from_edges(n, np.column_stack((np.zeros_like(leaves), leaves)))
 
 
 def gen_complete(n: int) -> Graph:
     """Complete graph on n >= 2 vertices."""
     if n < 2:
         raise ValidationError(f"complete graph needs n >= 2, got {n}")
-    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return Graph.from_edges(n, np.column_stack(np.triu_indices(n, 1)))
 
 
 def gen_torus(a: int, b: int) -> Graph:
     """a x b grid with wraparound in both directions (4-regular); a, b >= 3."""
     if a < 3 or b < 3:
         raise ValidationError(f"torus needs both sides >= 3, got {a}x{b}")
-    n = a * b
-
-    def vid(i: int, j: int) -> int:
-        return i * b + j
-
-    edges = []
-    for i in range(a):
-        for j in range(b):
-            edges.append((vid(i, j), vid((i + 1) % a, j)))
-            edges.append((vid(i, j), vid(i, (j + 1) % b)))
-    return Graph.from_edges(n, edges)
+    v = np.arange(a * b)
+    i, j = np.divmod(v, b)
+    down, right = (i + 1) % a * b + j, i * b + (j + 1) % b
+    return Graph.from_edges(v.size, np.column_stack((np.tile(v, 2), np.concatenate((down, right)))))
 
 
 def gen_random_regular(n: int, d: int, seed: int) -> Graph:
@@ -181,22 +189,12 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
     for _ in range(MAX_REGULAR_RESTARTS):
         stubs = np.repeat(np.arange(n, dtype=np.int64), d)
         rng.shuffle(stubs)
-        edges: set[tuple[int, int]] = set()
-        ok = True
-        for i in range(0, stubs.size, 2):
-            u, v = int(stubs[i]), int(stubs[i + 1])
-            if u == v:
-                ok = False
-                break
-            e = (u, v) if u < v else (v, u)
-            if e in edges:
-                ok = False
-                break
-            edges.add(e)
-        if not ok:
-            continue
+        pairs = stubs.reshape(-1, 2)
+        key = np.sort(pairs.min(axis=1) * n + pairs.max(axis=1))
+        if np.any(pairs[:, 0] == pairs[:, 1]) or np.any(key[1:] == key[:-1]):
+            continue  # a self-loop or a parallel edge; restart
         try:
-            return Graph.from_edges(n, edges)
+            return Graph.from_edges(n, pairs)
         except ValidationError:
             continue  # disconnected; restart
     raise GenerationError(

@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedMatrixError,
     ValidationError,
 )
-from .graphs import Graph
+from .graphs import Graph, _symmetric_support_connected
 
 ROW_SUM_TOL = 1e-12       # construction: row sums must be 1 within this
 CLASSIFY_TOL = 1e-12      # symmetric / lazy flags
@@ -180,26 +180,6 @@ def _transpose_gap(x: np.ndarray, transpose: np.ndarray) -> float:
     return float(np.max(np.abs(x - np.where(transpose >= 0, x[transpose], 0.0))))
 
 
-def _symmetric_support_connected(indptr: np.ndarray, targets: np.ndarray) -> bool:
-    """Connectivity of a symmetric support by hook and shortcut
-    (Shiloach-Vishkin). lab is a forest of stars whose roots are the
-    smallest vertices of their trees: each root hooks onto the smallest root
-    next to its tree, and pointer jumping makes stars again. Hooking roots,
-    not single vertices, merges whole trees: a randomly numbered cycle of
-    100000 vertices takes 11 rounds, where lowering each vertex's own label
-    takes about n / 4. Vertex 0 stays a root, so the support is connected
-    when every label is 0. Every row is non-empty, which reduceat needs."""
-    lab = np.arange(indptr.size - 1)
-    while lab.any():
-        hooked = lab.copy()
-        np.minimum.at(hooked, lab, np.minimum.reduceat(lab[targets], indptr[:-1]))
-        if np.array_equal(hooked, lab):  # no tree has a smaller neighbor
-            return False
-        while not np.array_equal(lab, hooked):
-            lab, hooked = hooked, hooked[hooked]
-    return True
-
-
 def _running_sums(indptr: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Running sums of probs within each row, each added left to right.
 
@@ -235,7 +215,7 @@ def lazy_rw_matrix(g: Graph) -> RoundMatrix:
     """Lazy random walk on a regular graph: 1/(2d) per edge, 1/2 self."""
     d = g.regular_degree()
     rows = np.repeat(np.arange(g.n), d)
-    return _with_self_loops(rows, g.flat_adjacency(), np.full(rows.size, 1.0 / (2 * d)),
+    return _with_self_loops(rows, g.targets, np.full(rows.size, 1.0 / (2 * d)),
                             np.full(g.n, 0.5))
 
 
@@ -247,7 +227,7 @@ def metropolis_matrix(g: Graph) -> RoundMatrix:
     """
     degs = g.degrees()
     rows = np.repeat(np.arange(g.n), degs)
-    targets = g.flat_adjacency()
+    targets = g.targets
     probs = 1.0 / (2 * np.maximum(degs[rows], degs[targets]))
     # bincount sums each row left to right, the order the self-loop remainder is pinned to
     return _with_self_loops(rows, targets, probs, 1.0 - np.bincount(rows, probs, minlength=g.n))

@@ -79,7 +79,7 @@ def _weighted_edges(n: int, rng):
     """
     g = random_connected_graph(n, rng)
     rows = np.repeat(np.arange(n), g.degrees())
-    targets = g.flat_adjacency()
+    targets = g.targets
     pair = np.minimum(rows, targets) * n + np.maximum(rows, targets)
     edges = pair[rows < targets]   # g.edges() order, ascending
     w = rng.uniform(0.5, 2.0, size=edges.size)[np.searchsorted(edges, pair)]

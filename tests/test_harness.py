@@ -412,6 +412,16 @@ def test_cli_divergence_reducible_matrix(tmp_path, capsys):
     assert main(["divergence", "--matrix", f"file:{path}"]) == 2
 
 
+def test_cli_edge_list_with_huge_vertex_index_exit_2(tmp_path, capsys):
+    # vertex 999999999999 means 10**12 vertices and two edges: rejected
+    # as disconnected before any per-vertex array is allocated
+    path = tmp_path / "g.edges"
+    path.write_text("0 1\n1 999999999999\n")
+    assert main(["simulate", "--graph", f"file:{path}", "--steps", "3",
+                 "--out", str(tmp_path / "o.csv")]) == 2
+    assert "graph is not connected" in capsys.readouterr().err
+
+
 def test_cli_nan_matrix_entry_exit_2(tmp_path, capsys):
     path = tmp_path / "m.txt"
     path.write_text("2\n0 0 0.5\n0 1 0.5\n1 0 0.5\n1 1 0.5\n0 1 nan\n")
