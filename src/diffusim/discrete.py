@@ -32,7 +32,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ValidationError
-from .graphs import Graph
+from .graphs import Graph, _read_only_setstate
 from .matrices import RoundMatrix, RowView
 
 __all__ = [
@@ -72,6 +72,8 @@ class LoadConfig:
     loads: np.ndarray  # int64, read-only
     total: int
 
+    __setstate__ = _read_only_setstate
+
     @classmethod
     def from_loads(cls, loads) -> "LoadConfig":
         arr = np.asarray(loads)
@@ -104,10 +106,20 @@ class LoadConfig:
 
 
 def _conserved(new: np.ndarray, total: int) -> LoadConfig:
-    """Wrap a step's output after checking that it kept every token."""
-    if int(new.sum()) != total:
-        raise ValidationError(f"step produced total {int(new.sum())}, expected {total}")
-    return LoadConfig._wrap(new)
+    """Wrap a step's output after checking that it kept every token.
+
+    Every step hands over a fresh int64 array of its own, so it is frozen in
+    place rather than copied.
+    """
+    if new.dtype != np.int64:
+        raise ValidationError(f"step produced {new.dtype} loads, expected int64")
+    got = int(new.sum())
+    if got != total:
+        raise ValidationError(f"step produced total {got}, expected {total}")
+    if new.min() < 0:
+        raise ValidationError("loads must be nonnegative")
+    new.flags.writeable = False
+    return LoadConfig(new, total)
 
 
 @dataclass

@@ -17,6 +17,15 @@ from .errors import GenerationError, ValidationError
 MAX_REGULAR_RESTARTS = 10_000
 
 
+def _read_only_setstate(obj, state: dict) -> None:
+    """__setstate__ of the classes whose arrays are read-only: unpickling
+    rebuilds every array writable, so each is frozen again."""
+    for value in state.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    obj.__dict__.update(state)
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable simple connected graph in compressed sparse row form.
@@ -29,6 +38,8 @@ class Graph:
     n: int
     indptr: np.ndarray    # (n+1,) int64: v's neighbors are targets[indptr[v]:indptr[v+1]]
     targets: np.ndarray   # (2m,) int64
+
+    __setstate__ = _read_only_setstate
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":

@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedMatrixError,
     ValidationError,
 )
-from .graphs import Graph, _symmetric_support_connected
+from .graphs import Graph, _read_only_setstate, _symmetric_support_connected
 
 ROW_SUM_TOL = 1e-12       # construction: row sums must be 1 within this
 CLASSIFY_TOL = 1e-12      # symmetric / lazy flags
@@ -63,6 +63,8 @@ class RoundMatrix:
     symmetric: bool
     lazy: bool
     irreducible: bool
+
+    __setstate__ = _read_only_setstate
 
     @classmethod
     def from_entries(cls, n: int, rows, targets, probs) -> "RoundMatrix":

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from . import analysis, continuous, discrete, graphs, matrices
 
 CHI2_P_FLOOR = 0.001
 LEMMA_SUM_TOL = 1e-9
+LEMMA_PAIRS = 2**14  # (token, row entry) pairs at most in one chunked check_step_trace pass
 PSI2_REL_TOL = 1e-9
 
 
@@ -139,12 +141,17 @@ def _dirichlet_chain_set(seed: int, count: int = 25):
 
 
 def check_step_trace(P: matrices.RoundMatrix, trace: discrete.StepTrace) -> list[str]:
-    """Violations of outflow, support, and the two <=2 discrepancy lemmas.
+    """Violations of outflow, support, zero-probability routing and the
+    per-neighbor <=2 discrepancy lemma.
 
     One flat pass over every (token, row entry) pair of the step: a vertex
     whose outflow differs from its load, or that has a token outside its
     row's support, gets that one message and no further check. Messages come
-    in vertex order, and a vertex's in the order of the lemmas.
+    in vertex order, and a vertex's in the order of the lemmas. The
+    per-token <=2 lemma and the bound of 2 non-deterministic tokens per
+    neighbor depend only on destination_distribution, not on where tokens
+    went, so the tests check them there. P may also be the routing arrays
+    of K steps side by side (see _first_flagged).
     """
     x = trace.loads_before
     sizes = np.array([d.size for d in trace.destinations])
@@ -161,17 +168,13 @@ def check_step_trace(P: matrices.RoundMatrix, trace: discrete.StepTrace) -> list
     p = discrete._overlap(k.astype(np.float64)[tok], lo[e], hi[e])
     hit = dest[tok] == P.targets[e]   # a row's targets are distinct: at most one per token
     gap = np.abs(hit - p)
-    # per token
     missed = np.bincount(tok[hit], minlength=v.size) == 0
     zero = np.bincount(tok[hit & (p <= 0.0)], minlength=v.size) > 0
-    over_token = np.bincount(tok, gap, minlength=v.size) > 2.0 + LEMMA_SUM_TOL
-    # per row entry
     over_nbr = np.bincount(e, gap, minlength=P.rows.size) > 2.0 + LEMMA_SUM_TOL
-    nondet = np.bincount(e, (p > 0.0) & (p < 1.0), minlength=P.rows.size) > 2
 
     flagged = outflow.copy()
-    flagged[v[missed | zero | over_token]] = True
-    flagged[P.rows[over_nbr | nondet]] = True
+    flagged[v[missed | zero]] = True
+    flagged[P.rows[over_nbr]] = True
     violations = []
     for w in np.flatnonzero(flagged).tolist():
         toks = slice(starts[w], starts[w] + loads[w])
@@ -186,13 +189,37 @@ def check_step_trace(P: matrices.RoundMatrix, trace: discrete.StepTrace) -> list
         if zero[toks].any():
             violations.append(f"v={w}: tokens {np.flatnonzero(zero[toks]).tolist()} "
                               f"routed to zero-probability targets")
-        if over_token[toks].any():
-            violations.append(f"v={w}: per-token discrepancy sum exceeds 2")
         if over_nbr[row].any():
             violations.append(f"v={w}: per-neighbor discrepancy sum exceeds 2")
-        if nondet[row].any():
-            violations.append(f"v={w}: more than 2 non-deterministic tokens for one neighbor")
     return violations
+
+
+def _first_flagged(P: matrices.RoundMatrix, traces: list) -> tuple[int, str] | None:
+    """(index, first message) of the first of consecutive traced steps on P
+    that check_step_trace flags, or None when none is.
+
+    The K steps are checked together in one pass, step b on vertices
+    b*n..b*n+n-1 of I_K (x) P. Each copy keeps P's own targets, so a step's
+    destinations are compared as they are, with no shift by b*n. Every check
+    is per vertex, so that pass flags something exactly when one of the
+    steps alone does; only then are the steps checked one at a time, for
+    the message and the step.
+    """
+    if not traces:
+        return None
+    tiled = discrete._tile(P, len(traces))
+    side_by_side = SimpleNamespace(indptr=tiled.indptr, rows=tiled.rows, ends=tiled.ends,
+                                   targets=np.tile(P.targets, len(traces)))
+    merged = discrete.StepTrace(np.concatenate([tr.loads_before for tr in traces]),
+                                [d for tr in traces for d in tr.destinations], [], [])
+    flagged = check_step_trace(side_by_side, merged)
+    if not flagged:
+        return None
+    for j, tr in enumerate(traces):
+        found = check_step_trace(P, tr)
+        if found:
+            return j, found[0]
+    return len(traces) - 1, flagged[0]  # not reached: every check is per vertex
 
 
 # ---------------------------------------------------------------------------
@@ -298,33 +325,46 @@ def _fuzz_cases(seed: int):
 
 
 def suite_lemmas(seed: int = 0, min_vertex_steps: int = 100_000) -> SuiteResult:
-    """Traced fuzz: conservation, non-negativity, outflow, and the per-load /
-    per-neighbor discrepancy lemmas over >= 1e5 vertex-steps."""
+    """Traced fuzz: conservation, non-negativity, outflow, support and the
+    per-neighbor discrepancy lemma over >= 1e5 vertex-steps.
+
+    Conservation and signs are checked every step; the traces are checked
+    in chunks of at most LEMMA_PAIRS (token, row entry) pairs. The first
+    violation and the vertex-steps up to its step are the same as checking
+    every step in turn.
+    """
     rng = np.random.default_rng(seed)
-    vertex_steps = 0
-    violations: list[str] = []
+    vertex_steps = 0   # of the steps that passed every check
+    found = None       # (step in the buffer, message) of the first violation
     cases = _fuzz_cases(seed)
     ci = 0
-    while vertex_steps < min_vertex_steps:
+    while found is None and vertex_steps < min_vertex_steps:
         P, x0, steps, sampler = cases[ci % len(cases)]
         ci += 1
         step = discrete.SAMPLERS[sampler]
+        chunk = max(1, LEMMA_PAIRS // max(1, x0.total * int(np.diff(P.indptr).max())))
+        traces = []
         cfg = x0
-        for _ in range(steps):
+        for i in range(steps):
             nxt, tr = step(cfg, P, rng, trace=True)
-            vertex_steps += P.n
-            if nxt.total != cfg.total:
-                violations.append("conservation violated")
-            if np.any(nxt.loads < 0):
-                violations.append("negative load")
-            violations.extend(check_step_trace(P, tr))
-            cfg = nxt
-            if violations:
+            if nxt.total != cfg.total or np.any(nxt.loads < 0):
+                # the buffered steps came first, and so do their messages
+                found = _first_flagged(P, traces) or (len(traces), (
+                    "conservation violated" if nxt.total != cfg.total else "negative load"))
                 break
-        if violations:
-            break
-    return SuiteResult("lemmas", not violations, vertex_steps,
-                       violations[0] if violations else
+            # keep what check_step_trace reads; the draws' arrays can go
+            traces.append(discrete.StepTrace(tr.loads_before, tr.destinations, [], []))
+            cfg = nxt
+            if len(traces) == chunk or i == steps - 1:
+                found = _first_flagged(P, traces)
+                if found:
+                    break
+                vertex_steps += len(traces) * P.n
+                traces = []
+        if found:
+            vertex_steps += (found[0] + 1) * P.n
+    return SuiteResult("lemmas", found is None, vertex_steps,
+                       found[1] if found else
                        f"zero violations over {vertex_steps} vertex-steps")
 
 
@@ -389,17 +429,21 @@ def sampler_equivalence_stats(seed: int = 0, samples: int = 10_000):
     counts = {}
     det_sets_equal = True
     support_sets_equal = True
+    width = row.targets.size
     col = np.zeros(P.n, dtype=np.int64)   # the table column of each row target
-    col[row.targets] = np.arange(row.targets.size)
-    tokens = np.arange(x_hub)
+    col[row.targets] = np.arange(width)
     for si, sampler in enumerate(("naive", "batch")):
         rng = np.random.default_rng(seed + si)
-        table = np.zeros((x_hub, row.targets.size), dtype=np.int64)
-        for _ in range(samples):
+        dests = np.empty((samples, x_hub), dtype=np.int64)
+        drawn = np.empty((samples, x_hub), dtype=bool)
+        for i in range(samples):
             _, tr = discrete.SAMPLERS[sampler](x0, P, rng, trace=True)
-            table[tokens, col[tr.destinations[hub]]] += 1
-            if sampler == "batch" and not np.array_equal(~tr.sampled[hub], det_mask):
-                det_sets_equal = False
+            dests[i] = tr.destinations[hub]
+            drawn[i] = tr.sampled[hub]
+        cell = np.arange(x_hub) * width + col[dests]   # (token, column) of each sample
+        table = np.bincount(cell.ravel(), minlength=x_hub * width).reshape(x_hub, width)
+        if sampler == "batch" and np.any(drawn == det_mask):   # a drawn token is not deterministic
+            det_sets_equal = False
         counts[sampler] = table
         seen = table > 0
         if np.any(seen & ~support):
@@ -433,18 +477,17 @@ def expectation_stats(seed: int = 0, trials: int = 10_000, T: int = 3,
     P = matrices.lazy_rw_matrix(graphs.gen_complete(3))
     x0 = discrete.LoadConfig.from_loads([30, 0, 0])
     rng = np.random.default_rng(seed)
-    acc = np.zeros(3)
-    acc2 = np.zeros(3)
     step = discrete.SAMPLERS[sampler]
-    for _ in range(trials):
+    finals = np.empty((trials, P.n), dtype=np.int64)
+    for i in range(trials):
         cfg = x0
         for _ in range(T):
             cfg = step(cfg, P, rng)
-        f = cfg.loads.astype(np.float64)
-        acc += f
-        acc2 += f * f
-    mean = acc / trials
-    std = np.sqrt(np.maximum(acc2 / trials - mean * mean, 0.0))
+        finals[i] = cfg.loads
+    # exact integer sums; below 2**53, so their float64 values are exact too
+    mean = finals.sum(axis=0).astype(np.float64) / trials
+    std = np.sqrt(np.maximum((finals * finals).sum(axis=0).astype(np.float64) / trials
+                             - mean * mean, 0.0))
     oracle = matrices.power_apply(x0.loads.astype(np.float64), P, T)
     se = std / math.sqrt(trials)
     z = np.abs(mean - oracle) / se

@@ -129,6 +129,10 @@ def test_criterion_6_expectation_lemma():
     t0 = time.time()
     res = verify.suite_expectation(seed=0)
     _report(6, "expectation lemma", res.passed, res.detail, budget=20, elapsed=time.time() - t0)
+    # what `diffusim verify --seed 0` prints
+    assert (res.detail, res.checks) == (
+        "max |MC mean - x0 P^3| = 1.79 standard errors "
+        "(mean [10.319, 9.83, 9.851] vs oracle [10.312, 9.844, 9.844])", 10_000)
 
 
 def test_criterion_7_structural_lemmas():
@@ -137,12 +141,18 @@ def test_criterion_7_structural_lemmas():
     cons = verify.suite_conservation(seed=0)
     _report(7, "structural lemmas", res.passed and cons.passed,
             f"{res.detail}; baselines: {cons.detail}", elapsed=time.time() - t0)
+    # what `diffusim verify --seed 0` prints
+    assert (res.detail, res.checks) == ("zero violations over 113400 vertex-steps", 113_400)
+    assert (cons.detail, cons.checks) == ("3900 steps conserved totals", 3900)
 
 
 def test_criterion_8_sampler_equivalence():
     t0 = time.time()
     res = verify.suite_sampler_equivalence(seed=0)
     _report(8, "sampler equivalence", res.passed, res.detail, elapsed=time.time() - t0)
+    # what `diffusim verify --seed 0` prints
+    assert (res.detail, res.checks) == (
+        "deterministic sets match, supports match, chi2 p=0.6633", 60_000)
 
 
 def test_criterion_9_proposition1():

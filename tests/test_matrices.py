@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from diffusim import (
     lazy_rw_matrix,
     metropolis_matrix,
     power_apply,
+    random_config,
     second_eigenvalue,
     stationary_distribution,
 )
@@ -426,3 +428,20 @@ def test_irreducible_on_randomly_numbered_cycles():
                                      np.concatenate((np.full(2 * n, 0.25), np.full(n, 0.5))))
         assert P.symmetric and np.all(P.transpose >= 0)
         assert P.irreducible == expected
+
+
+def test_pickle_round_trip_keeps_arrays_read_only():
+    # --jobs workers receive graphs, matrices and load configs by pickle
+    g = gen_hypercube(3)
+    g.neighbor_array()    # cached in the instance, so pickled with it
+    assert "_neighbor_array" in vars(g)
+    P = metropolis_matrix(random_connected_graph(9, np.random.default_rng(4)))
+    for obj in (g, P, random_config(9, 50, 2)):
+        back = pickle.loads(pickle.dumps(obj))
+        arrays = {k: v for k, v in vars(obj).items() if isinstance(v, np.ndarray)}
+        assert set(arrays) == {k for k, v in vars(back).items() if isinstance(v, np.ndarray)}
+        for name, arr in arrays.items():
+            assert not vars(back)[name].flags.writeable, name
+            assert np.array_equal(vars(back)[name], arr), name
+        assert {k: v for k, v in vars(back).items() if k not in arrays} == \
+            {k: v for k, v in vars(obj).items() if k not in arrays}

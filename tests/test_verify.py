@@ -1,0 +1,122 @@
+"""Suite-level tests of diffusim.verify: the sampler calls each suite makes,
+and the first violation the chunked lemma check reports."""
+import numpy as np
+import pytest
+
+from diffusim import LoadConfig, discrete, verify
+
+LEMMA_STEPS = 1200  # steps of the first lemma case: lazy walk on cycle:16 from point:160
+CHUNK = verify.LEMMA_PAIRS // (160 * 3)  # that case's steps per check: rows have 3 entries
+
+
+@pytest.fixture
+def sampler_calls(monkeypatch):
+    """Count the calls of every discrete.SAMPLERS entry, as the benchmark does."""
+    calls = dict.fromkeys(discrete.SAMPLERS, 0)
+    for name, fn in list(discrete.SAMPLERS.items()):
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setitem(discrete.SAMPLERS, name, counted)
+    return calls
+
+
+def test_sampler_calls_per_suite(sampler_calls):
+    # the benchmark counts these calls as rounds, so a change that steps
+    # several of them at once moves its round count and has to say so
+    verify.expectation_stats(trials=100)
+    assert sampler_calls == {"naive": 100 * 3, "batch": 0}
+    verify.sampler_equivalence_stats(samples=100)
+    assert sampler_calls == {"naive": 300 + 100, "batch": 100}
+    res = verify.suite_lemmas(min_vertex_steps=2000)
+    assert (res.passed, res.checks) == (True, LEMMA_STEPS * 16)
+    assert sampler_calls == {"naive": 400, "batch": 100 + LEMMA_STEPS}
+
+
+def test_lemma_suite_checks_whole_chunks(monkeypatch):
+    passes = []   # steps per check_step_trace pass
+    real = verify.check_step_trace
+
+    def counted(P, tr):
+        passes.append(tr.loads_before.size // 16)
+        return real(P, tr)
+
+    monkeypatch.setattr(verify, "check_step_trace", counted)
+    assert verify.suite_lemmas(min_vertex_steps=2000).passed
+    assert passes == [CHUNK] * (LEMMA_STEPS // CHUNK) + [LEMMA_STEPS % CHUNK]
+
+
+def _faulty(real, faults: dict):
+    """real sampler, except that call j of faults[j] == "misroute" sends one
+    token off its row's support, "lose" reports a total one short and
+    "negative" moves tokens to leave a load of -1."""
+    calls = [0]
+
+    def step(x, P, rng, trace=False):
+        nxt, tr = real(x, P, rng, trace=True)
+        kind = faults.get(calls[0])
+        calls[0] += 1
+        if kind == "misroute":
+            v = int(np.flatnonzero(tr.loads_before)[-1])
+            d = tr.destinations[v].copy()
+            d[0] = (v + P.n // 2) % P.n    # neither v nor a neighbour on a cycle
+            tr.destinations[v] = d
+        elif kind == "lose":
+            nxt = LoadConfig(nxt.loads, nxt.total - 1)
+        elif kind == "negative":
+            loads = nxt.loads.copy()
+            moved = loads.min() + 1
+            loads[np.argmin(loads)] -= moved
+            loads[np.argmax(loads)] += moved
+            nxt = LoadConfig(loads, nxt.total)
+        return (nxt, tr) if trace else nxt
+
+    return step
+
+
+def _per_step_lemmas(seed: int, min_vertex_steps: int):
+    """suite_lemmas' (message, vertex-steps) with every step checked on its
+    own, right after it is taken."""
+    rng = np.random.default_rng(seed)
+    vertex_steps = 0
+    cases = verify._fuzz_cases(seed)
+    ci = 0
+    while vertex_steps < min_vertex_steps:
+        P, x0, steps, sampler = cases[ci % len(cases)]
+        ci += 1
+        cfg = x0
+        for _ in range(steps):
+            nxt, tr = discrete.SAMPLERS[sampler](cfg, P, rng, trace=True)
+            vertex_steps += P.n
+            violations = []
+            if nxt.total != cfg.total:
+                violations.append("conservation violated")
+            if np.any(nxt.loads < 0):
+                violations.append("negative load")
+            violations += verify.check_step_trace(P, tr)
+            if violations:
+                return violations[0], vertex_steps
+            cfg = nxt
+    return f"zero violations over {vertex_steps} vertex-steps", vertex_steps
+
+
+@pytest.mark.parametrize("faults", [
+    {0: "misroute"},                                  # first step of the first chunk
+    {CHUNK: "misroute"},                              # first, middle and last of the second
+    {CHUNK + CHUNK // 2: "misroute"},
+    {2 * CHUNK - 1: "misroute"},
+    {LEMMA_STEPS - 1: "misroute"},                    # last step of the short last chunk
+    {CHUNK: "lose"},                                  # nothing buffered yet
+    {2 * CHUNK - 1: "lose"},
+    {CHUNK + 3: "misroute", CHUNK + 5: "lose"},       # the buffered misroute comes first
+    {CHUNK + 5: "negative"},
+], ids=str)
+def test_lemma_suite_first_violation_matches_per_step_loop(monkeypatch, faults):
+    real = discrete.SAMPLERS["batch"]
+    monkeypatch.setitem(discrete.SAMPLERS, "batch", _faulty(real, faults))
+    res = verify.suite_lemmas(seed=0, min_vertex_steps=2000)
+    monkeypatch.setitem(discrete.SAMPLERS, "batch", _faulty(real, faults))
+    message, vertex_steps = _per_step_lemmas(seed=0, min_vertex_steps=2000)
+    assert not res.passed
+    assert (res.detail, res.checks) == (message, vertex_steps)
+    assert vertex_steps == 16 * (min(faults) + 1)
