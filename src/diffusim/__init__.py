@@ -52,9 +52,7 @@ from .graphs import (
     load_edge_list,
 )
 from .matrices import (
-    Classification,
     RoundMatrix,
-    classify,
     custom_matrix,
     lazy_rw_matrix,
     matrix_from_text,

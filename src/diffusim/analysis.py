@@ -18,7 +18,7 @@ from .errors import (
     UnsupportedMatrixError,
     ValidationError,
 )
-from .matrices import RoundMatrix, classify, detailed_balance_pi, power_apply
+from .matrices import RoundMatrix, detailed_balance_pi, power_apply
 
 PSI_TOL_DEFAULT = 1e-12
 PSI_T_MAX_FALLBACK = 10_000
@@ -175,19 +175,16 @@ def _min_flow(P: RoundMatrix, pi: np.ndarray) -> float:
     return float((pi[P.rows] * P.probs).min())
 
 
-def dirichlet_identity_check(P: RoundMatrix, w: int, t: int,
-                             pi: np.ndarray | None = None) -> tuple[float, float, float]:
+def dirichlet_identity_check(P: RoundMatrix, w: int, t: int) -> tuple[float, float, float]:
     """Both sides of E(P^t[., w]) = pi_w (P^{2t}[w,w] - P^{2t+1}[w,w]).
 
     The column P^t[., w] comes from the basis row e_w . P^t through the
     reversibility relation P^t[v,w] = pi_w P^t[w,v] / pi_v; this is an exact
     identity for reversible chains, so the gap is a strict numeric test.
     """
-    cl = classify(P)
-    if not cl.reversible:
-        raise UnsupportedMatrixError("the Dirichlet identity requires a reversible chain")
+    pi = detailed_balance_pi(P)
     if pi is None:
-        pi = cl.pi
+        raise UnsupportedMatrixError("the Dirichlet identity requires a reversible chain")
     e_w = np.zeros(P.n)
     e_w[w] = 1.0
     row_t = power_apply(e_w, P, t)
@@ -199,16 +196,14 @@ def dirichlet_identity_check(P: RoundMatrix, w: int, t: int,
     return lhs, rhs, abs(lhs - rhs)
 
 
-def psi2_bound_reversible(P: RoundMatrix, pi: np.ndarray | None = None) -> float:
+def psi2_bound_reversible(P: RoundMatrix) -> float:
     """sqrt(2 max_w pi_w / min over positive entries of pi_v P[v,u]);
     valid for reversible lazy chains."""
-    if not P.lazy:  # before classify, whose stationary distribution may not converge
+    if not P.lazy:  # the cheap hypothesis first
         raise UnsupportedMatrixError("bound requires a lazy chain (diagonal >= 1/2)")
-    cl = classify(P)
-    if not cl.reversible:
-        raise UnsupportedMatrixError("bound requires a reversible chain")
+    pi = detailed_balance_pi(P)
     if pi is None:
-        pi = cl.pi
+        raise UnsupportedMatrixError("bound requires a reversible chain")
     return math.sqrt(2.0 * float(pi.max()) / _min_flow(P, pi))
 
 

@@ -22,14 +22,8 @@ CSV_HEADER = "trial,t,disc,max_dev,bound_thm3,bound_thm1_or_2,viol_thm3,viol_dis
 # Trials step in lockstep blocks of max(1, BLOCK_ENTRIES // nnz) trials, so
 # the routing arrays of a block (I_B (x) P) stay cache-resident.
 BLOCK_ENTRIES = 2**14
-ALGORITHMS = (
-    "alg2-naive",
-    "alg2-batch",
-    "send-floor2d",
-    "send-round3d",
-    "send-partition",
-    "rsend",
-)
+BASELINES = ("send-floor2d", "send-round3d", "send-partition", "rsend")  # regular graphs only
+ALGORITHMS = ("alg2-naive", "alg2-batch") + BASELINES
 
 
 @dataclass
@@ -109,21 +103,29 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed, trial_index]))
 
 
-def _make_stepper(algorithm: str, P: matrices.RoundMatrix, g: graphs.Graph | None):
-    """One-trial stepper of an algorithm without a batched kernel."""
-    if algorithm == "alg2-naive":
-        return lambda cfg, rng: discrete.step_naive(cfg, P, rng)
-    if algorithm in ("send-floor2d", "send-round3d", "send-partition", "rsend"):
+def _check_algorithm(algorithm: str, g: graphs.Graph | None) -> None:
+    """ValidationError unless the algorithm is known and, for a baseline,
+    the graph is given and regular."""
+    if algorithm not in ALGORITHMS:
+        raise ValidationError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+    if algorithm in BASELINES:
         if g is None:
             raise ValidationError(f"algorithm {algorithm} needs a graph")
-        if algorithm == "send-floor2d":
-            return lambda cfg, rng: discrete.step_send_floor2d(cfg, g)
-        if algorithm == "send-round3d":
-            return lambda cfg, rng: discrete.step_send_round3d(cfg, g)
-        if algorithm == "send-partition":
-            return lambda cfg, rng: discrete.step_send_partition(cfg, g)
-        return lambda cfg, rng: discrete.step_rsend(cfg, g, rng)
-    raise ValidationError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+        g.regular_degree()  # raises "graph is not regular"
+
+
+def _make_stepper(algorithm: str, P: matrices.RoundMatrix, g: graphs.Graph | None):
+    """One-trial stepper of an algorithm without a batched kernel; the
+    algorithm has passed _check_algorithm."""
+    if algorithm == "alg2-naive":
+        return lambda cfg, rng: discrete.step_naive(cfg, P, rng)
+    if algorithm == "send-floor2d":
+        return lambda cfg, rng: discrete.step_send_floor2d(cfg, g)
+    if algorithm == "send-round3d":
+        return lambda cfg, rng: discrete.step_send_round3d(cfg, g)
+    if algorithm == "send-partition":
+        return lambda cfg, rng: discrete.step_send_partition(cfg, g)
+    return lambda cfg, rng: discrete.step_rsend(cfg, g, rng)
 
 
 @dataclass
@@ -154,6 +156,7 @@ def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
     P = build_matrix(spec.matrix, g)
     if g is not None and g.n != P.n:
         raise ValidationError(f"graph has {g.n} vertices but matrix has {P.n}")
+    _check_algorithm(spec.algorithm, g)
     x0 = build_loads(spec.loads, P.n)
 
     unavailable: dict[str, str] = {}

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import (
-    NotConvergedError,
+    DiffusimError,
     NotIrreducibleError,
     SizeLimitError,
     UnsupportedMatrixError,
@@ -27,7 +27,6 @@ from .graphs import Graph, _read_only_setstate, _symmetric_support_connected
 ROW_SUM_TOL = 1e-12       # construction: row sums must be 1 within this
 CLASSIFY_TOL = 1e-12      # symmetric / lazy flags
 DETAILED_BALANCE_TOL = 1e-10
-STATIONARY_RESIDUAL = 1e-12
 DENSE_LIMIT = 4096
 
 
@@ -274,38 +273,6 @@ def matrix_from_text(text: str) -> RoundMatrix:
     return custom_matrix(entries, n=n)
 
 
-@dataclass(frozen=True)
-class Classification:
-    symmetric: bool
-    lazy: bool
-    irreducible: bool
-    reversible: bool
-    pi: np.ndarray | None  # stationary distribution; None when reducible
-
-
-def stationary_distribution(P: RoundMatrix, max_iter: int = 500_000) -> np.ndarray:
-    """Stationary distribution pi with ||pi P - pi||_inf <= 1e-12.
-
-    Uniform shortcut for symmetric chains; power iteration otherwise.
-    Raises NotIrreducibleError for reducible chains.
-    """
-    if not P.irreducible:
-        raise NotIrreducibleError("stationary distribution requested for a reducible chain")
-    if P.symmetric:
-        return np.full(P.n, 1.0 / P.n)
-    pi = np.full(P.n, 1.0 / P.n)
-    for _ in range(max_iter):
-        nxt = power_apply(pi, P, 1)
-        nxt /= nxt.sum()
-        if np.max(np.abs(nxt - pi)) <= STATIONARY_RESIDUAL:
-            return nxt
-        pi = nxt
-    raise NotConvergedError(
-        f"power iteration did not reach residual {STATIONARY_RESIDUAL} in {max_iter} steps",
-        partial_value=pi,
-    )
-
-
 def is_reversible(P: RoundMatrix, pi: np.ndarray) -> bool:
     """Detailed balance pi_v P[v,u] == pi_u P[u,v] within 1e-10."""
     return _transpose_gap(np.asarray(pi)[P.rows] * P.probs, P.transpose) <= DETAILED_BALANCE_TOL
@@ -317,8 +284,8 @@ def detailed_balance_pi(P: RoundMatrix) -> np.ndarray | None:
 
     pi is read off detailed balance, pi_u / pi_v = P[v,u] / P[u,v], along a
     breadth-first tree from vertex 0 and then checked on every entry with
-    is_reversible. There is no power iteration, so periodic chains are
-    handled too. Raises NotIrreducibleError for reducible chains.
+    is_reversible, so periodic chains are handled too. Raises
+    NotIrreducibleError for reducible chains.
     """
     if not P.irreducible:
         raise NotIrreducibleError("detailed balance requested for a reducible chain")
@@ -343,12 +310,29 @@ def detailed_balance_pi(P: RoundMatrix) -> np.ndarray | None:
     return pi if is_reversible(P, pi) else None
 
 
-def classify(P: RoundMatrix) -> Classification:
-    """Flags plus stationary distribution (pi is None for reducible chains)."""
-    if not P.irreducible:
-        return Classification(P.symmetric, P.lazy, False, False, None)
-    pi = stationary_distribution(P)
-    return Classification(P.symmetric, P.lazy, True, is_reversible(P, pi), pi)
+def stationary_distribution(P: RoundMatrix) -> np.ndarray:
+    """Exact stationary distribution of an irreducible chain.
+
+    Reversible chains (symmetric and periodic ones included) take it from
+    detailed_balance_pi. Any other chain gets one sparse direct solve of
+    pi (P - I) = 0 with the first equation replaced by sum(pi) = 1.
+    Raises NotIrreducibleError for reducible chains.
+    """
+    pi = detailed_balance_pi(P)
+    if pi is not None:
+        return pi
+    from scipy import sparse  # here, not at the top: only non-reversible chains get here
+    from scipy.sparse.linalg import spsolve
+
+    S = sparse.csr_matrix((P.probs, P.targets, P.indptr), shape=(P.n, P.n))
+    # the equations (P - I)^T pi = 0, the first one replaced by sum(pi) = 1
+    A = sparse.vstack([np.ones((1, P.n)), (S - sparse.identity(P.n)).T.tocsr()[1:]], format="csc")
+    b = np.zeros(P.n)
+    b[0] = 1.0
+    pi = spsolve(A, b)
+    if not np.all(np.isfinite(pi)):
+        raise DiffusimError("the stationary solve gave a non-finite pi")
+    return pi
 
 
 def power_apply(x: np.ndarray, P: RoundMatrix, t: int) -> np.ndarray:

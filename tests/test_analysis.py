@@ -31,7 +31,7 @@ from diffusim import (
     psi2_bound_symmetric,
     stationary_distribution,
 )
-from diffusim import matrices
+from diffusim import analysis
 from diffusim.analysis import PSI_T_MAX_FALLBACK, PSI_TOL_DEFAULT, _divergence_series
 from diffusim.verify import (
     random_reversible_lazy_chain,
@@ -269,7 +269,7 @@ def test_dirichlet_rhs_telescopes_below_pi(lazy_cycle16):
     for w in (0, 5):
         total = 0.0
         for t in range(64):
-            _, rhs, _ = dirichlet_identity_check(lazy_cycle16, w, t, pi=pi)
+            _, rhs, _ = dirichlet_identity_check(lazy_cycle16, w, t)
             total += rhs
             assert total <= pi[w] + 1e-10
 
@@ -300,12 +300,11 @@ def test_psi2_bounds_reject_non_lazy():
 
 
 def test_psi2_bound_reversible_checks_laziness_first(monkeypatch):
-    # the non-lazy walk on the 4-vertex star is periodic, so power iteration
-    # for its stationary distribution never converges; it must not be run
+    # the bound needs a lazy chain, so a non-lazy one is refused before pi is computed
     def refuse(P):
         raise AssertionError("stationary distribution computed for a non-lazy chain")
 
-    monkeypatch.setattr(matrices, "stationary_distribution", refuse)
+    monkeypatch.setattr(analysis, "detailed_balance_pi", refuse)
     star = custom_matrix([(0, u, 1 / 3) for u in (1, 2, 3)] + [(u, 0, 1.0) for u in (1, 2, 3)])
     with pytest.raises(UnsupportedMatrixError, match="lazy chain"):
         psi2_bound_reversible(star)

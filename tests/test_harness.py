@@ -262,6 +262,29 @@ def test_baseline_rejects_irregular_graph():
         run_experiment(spec)
 
 
+@pytest.mark.parametrize("graph, algorithm, message", [
+    ("cycle:8", "alg3", r"^unknown algorithm 'alg3'; choose from \('alg2-naive', "),
+    ("", "rsend", r"^algorithm rsend needs a graph$"),
+    ("star:2048", "send-floor2d", r"^graph is not regular$"),
+])
+def test_bad_algorithm_rejected_before_set_up(tmp_path, monkeypatch, graph, algorithm, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("set-up ran for an algorithm that cannot run")
+
+    monkeypatch.setattr(diffusim.matrices, "second_eigenvalue", refuse)
+    monkeypatch.setattr(diffusim.analysis, "local_p_divergence", refuse)
+    matrix = "metropolis"
+    if not graph:
+        path = tmp_path / "m.txt"
+        path.write_text(lazy_rw_matrix(gen_cycle(8)).to_text())
+        matrix = f"file:{path}"
+    with pytest.raises(ValidationError, match=message):
+        resolve(ExperimentSpec(graph=graph, matrix=matrix, algorithm=algorithm, steps="5"))
+    assert main(["simulate", "--graph", graph, "--matrix", matrix, "--algorithm", algorithm,
+                 "--steps", "5", "--out", str(tmp_path / "o.csv")]) == 2
+    assert not (tmp_path / "o.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -439,6 +462,35 @@ def test_cli_verify_lemmas_output_pinned(capsys):
     assert main(["verify", "--suite", "lemmas", "--seed", "0"]) == 0
     assert capsys.readouterr().out == (
         "[PASS] lemmas: zero violations over 113400 vertex-steps (113400 checks)\n")
+
+
+def test_cli_verify_dirichlet_output_pinned(capsys):
+    # pi comes from detailed balance, so the identity's gap is at rounding level
+    assert main(["verify", "--suite", "dirichlet", "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert out == ("[PASS] dirichlet: worst gap 2.78e-17 at random-reversible-1-n4 w=0 t=0 "
+                   "(tol 1e-10) (17839 checks)\n")
+    assert float(out.split("worst gap ")[1].split()[0]) <= 1e-15
+
+
+def test_cli_bounds_birth_death_1000_exact_pi(tmp_path, capsys):
+    # lazy weighted walk on a path: reversible, not symmetric, pi = W / sum(W)
+    n = 1000
+    w = np.random.default_rng(3).uniform(0.5, 2.0, n - 1)  # weight of edge (v, v + 1)
+    W = np.zeros(n)
+    W[:-1] += w
+    W[1:] += w
+    v = np.arange(n - 1)
+    P = diffusim.custom_matrix(list(zip(range(n), range(n), [0.5] * n))
+                               + list(zip(v, v + 1, w / (2 * W[:-1])))
+                               + list(zip(v + 1, v, w / (2 * W[1:]))), n=n)
+    pi_exact = W / W.sum()
+    assert np.max(np.abs(diffusim.stationary_distribution(P) - pi_exact)) <= 1e-12
+    path = tmp_path / "bd.txt"
+    path.write_text(P.to_text())
+    bound = np.sqrt(2 * pi_exact.max() / (pi_exact[P.rows] * P.probs).min())
+    assert main(["bounds", "--graph", "", "--matrix", f"file:{path}"]) == 0
+    assert f"psi2_bound_reversible={bound:.10g}\n" in capsys.readouterr().out
 
 
 def test_cli_verify_failure_exit_3(monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -10,12 +11,12 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from diffusim import (
+    DiffusimError,
     Graph,
     NotIrreducibleError,
     SizeLimitError,
     UnsupportedMatrixError,
     ValidationError,
-    classify,
     custom_matrix,
     gen_complete,
     gen_cycle,
@@ -45,6 +46,8 @@ from diffusim.verify import (
 )
 
 FIG1_ROW = [(0, 1 / 16), (1, 1 / 16), (2, 1 / 8), (3, 1 / 4), (4, 1 / 2)]
+# the non-lazy walk on the 4-vertex star: reversible, not symmetric, period 2
+NON_LAZY_STAR4 = [(0, u, 1 / 3) for u in (1, 2, 3)] + [(u, 0, 1.0) for u in (1, 2, 3)]
 
 
 def fig1_matrix():
@@ -127,9 +130,7 @@ def test_custom_figure1_prefix():
 def test_custom_identity_lazy_reducible():
     P = custom_matrix([(0, 0, 1.0), (1, 1, 1.0)])
     assert P.lazy
-    assert not P.irreducible
-    cl = classify(P)
-    assert cl.lazy and not cl.irreducible and cl.pi is None
+    assert not P.irreducible  # so no pi: test_stationary_reducible_raises
 
 
 def test_custom_bad_row_sum():
@@ -178,16 +179,19 @@ def test_running_sums_add_each_row_left_to_right():
         assert _running_sums(indptr, probs).tolist() == expect
 
 
-def test_classify_k2(lazy_k2):
-    cl = classify(lazy_k2)
-    assert cl.symmetric and cl.lazy and cl.irreducible and cl.reversible
-    assert np.allclose(cl.pi, [0.5, 0.5])
+def test_k2_flags_reversible_uniform_pi(lazy_k2):
+    assert lazy_k2.symmetric and lazy_k2.lazy and lazy_k2.irreducible
+    pi = stationary_distribution(lazy_k2)
+    assert pi.tolist() == [0.5, 0.5]
+    assert is_reversible(lazy_k2, pi)
 
 
-def test_classify_star4_metropolis_uniform_pi():
-    cl = classify(metropolis_matrix(gen_star(4)))
-    assert cl.symmetric
-    assert np.max(np.abs(cl.pi - 0.25)) <= 1e-10
+def test_star4_metropolis_flags_uniform_pi():
+    P = metropolis_matrix(gen_star(4))
+    assert P.symmetric and P.lazy and P.irreducible
+    pi = stationary_distribution(P)
+    assert pi.tolist() == [0.25] * 4
+    assert is_reversible(P, pi)
 
 
 def test_stationary_reducible_raises():
@@ -202,10 +206,9 @@ def test_stationary_matches_weighted_degree_oracle():
     for _ in range(10):
         P, pi_exact = random_reversible_lazy_chain(int(rng.integers(2, 17)), rng)
         pi = stationary_distribution(P)
-        assert np.max(np.abs(pi - pi_exact)) <= 1e-9
-        assert np.max(np.abs(power_apply(pi, P, 1) - pi)) <= 1e-10
-        cl = classify(P)
-        assert cl.reversible
+        assert np.max(np.abs(pi - pi_exact)) <= 1e-12
+        assert np.max(np.abs(power_apply(pi, P, 1) - pi)) <= 1e-12
+        assert is_reversible(P, pi)
 
 
 def test_detailed_balance_pi():
@@ -214,7 +217,7 @@ def test_detailed_balance_pi():
         P, pi_exact = random_reversible_lazy_chain(int(rng.integers(2, 17)), rng)
         assert np.max(np.abs(detailed_balance_pi(P) - pi_exact)) <= 1e-12
     # periodic and not symmetric: power iteration would oscillate forever
-    star = custom_matrix([(0, u, 1 / 3) for u in (1, 2, 3)] + [(u, 0, 1.0) for u in (1, 2, 3)])
+    star = custom_matrix(NON_LAZY_STAR4)
     assert np.allclose(detailed_balance_pi(star), [1 / 2, 1 / 6, 1 / 6, 1 / 6], rtol=0, atol=1e-15)
     cyclic = custom_matrix([(v, (v + 1) % 3, 0.4) for v in range(3)] + [(v, (v + 2) % 3, 0.1) for v in range(3)]
                            + [(v, v, 0.5) for v in range(3)])
@@ -223,6 +226,50 @@ def test_detailed_balance_pi():
     assert detailed_balance_pi(one_way) is None  # P[0,1] > 0 but P[1,0] = 0
     with pytest.raises(NotIrreducibleError):
         detailed_balance_pi(custom_matrix([(0, 0, 1.0), (1, 1, 1.0)]))
+
+
+def test_stationary_non_lazy_star4_exact_and_fast():
+    # reversible and periodic, so pi must come from detailed balance, not from iterating P
+    start = time.perf_counter()
+    pi = stationary_distribution(custom_matrix(NON_LAZY_STAR4))
+    assert time.perf_counter() - start < 0.5
+    assert np.max(np.abs(pi - [1 / 2, 1 / 6, 1 / 6, 1 / 6])) <= 1e-15
+
+
+def test_stationary_periodic_non_reversible():
+    # bipartite {0, 1} | {2, 3, 4}, so period 2; P[0,3] > 0 but P[3,0] = 0
+    P = custom_matrix([(0, 2, 0.5), (0, 3, 0.5), (1, 3, 0.5), (1, 4, 0.5),
+                       (2, 0, 0.5), (2, 1, 0.5), (3, 1, 1.0), (4, 0, 1.0)])
+    assert detailed_balance_pi(P) is None
+    pi = stationary_distribution(P)
+    assert np.max(np.abs(pi - [1 / 5, 3 / 10, 1 / 10, 1 / 4, 3 / 20])) <= 1e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(3, 24), density=st.floats(0.0, 1.0))
+def test_stationary_solve_random_non_reversible(seed, n, density):
+    # a directed cycle 0 -> 1 -> ... -> 0 makes the chain irreducible, and
+    # P[0,1] > 0 = P[1,0] makes it non-reversible, so the direct solve runs
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.01, 1.0, size=(n, n)) * (rng.random((n, n)) < density)
+    v = np.arange(n)
+    w[v, (v + 1) % n] += rng.uniform(0.01, 1.0, size=n)
+    w[1, 0] = 0.0
+    rows, targets = np.nonzero(w)
+    P = RoundMatrix.from_entries(n, rows, targets, (w / w.sum(axis=1, keepdims=True))[rows, targets])
+    assert detailed_balance_pi(P) is None
+    pi = stationary_distribution(P)
+    assert np.max(np.abs(power_apply(pi, P, 1) - pi)) <= 1e-12
+    assert abs(pi.sum() - 1.0) <= 1e-12
+
+
+def test_stationary_solve_rejects_non_finite(monkeypatch):
+    import scipy.sparse.linalg
+
+    monkeypatch.setattr(scipy.sparse.linalg, "spsolve", lambda A, b: np.full(b.size, np.nan))
+    one_way = custom_matrix([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 0.5), (2, 1, 0.5)])
+    with pytest.raises(DiffusimError, match="non-finite"):
+        stationary_distribution(one_way)
 
 
 def test_power_apply_t0_and_k2(lazy_k2):
