@@ -124,24 +124,17 @@ def _conserved(new: np.ndarray, total: int) -> LoadConfig:
 
 @dataclass
 class StepTrace:
-    """Per-step record of token destinations for invariant checking.
-
-    destinations[v][k] is the vertex token k of v moved to; sampled[v][k]
-    says whether a random draw decided it; r_values holds the token-unit
-    sample k + U (NaN where no draw happened).
-    """
+    """Per-step record of token destinations for invariant checking, flat
+    over the tokens by vertex and then token index: vertex v sent counts[v]
+    tokens, token i went to destinations[i], sampled[i] says whether a draw
+    decided it and r_values[i] holds its token-unit sample k + U (NaN where
+    no draw happened)."""
 
     loads_before: np.ndarray
-    destinations: list[np.ndarray]
-    sampled: list[np.ndarray]
-    r_values: list[np.ndarray]
-
-    @classmethod
-    def _split(cls, loads, starts, dest, sampled, r) -> "StepTrace":
-        """Per-vertex trace from flat per-token arrays in vertex order."""
-        spans = [slice(s, s + c) for s, c in zip(starts.tolist(), loads.tolist())]
-        return cls(loads_before=loads, destinations=[dest[s] for s in spans],
-                   sampled=[sampled[s] for s in spans], r_values=[r[s] for s in spans])
+    counts: np.ndarray
+    destinations: np.ndarray
+    sampled: np.ndarray
+    r_values: np.ndarray
 
 
 def destination_distribution(row: RowView, x_v: int, k) -> np.ndarray:
@@ -259,24 +252,21 @@ def _tokens(loads: np.ndarray):
     return v, np.arange(v.size) - starts[v], starts
 
 
-def _token_dests(P: RoundMatrix, loads: np.ndarray, starts: np.ndarray, v: np.ndarray,
-                 r: np.ndarray) -> np.ndarray:
-    """Row target whose interval holds r[i], for every token i in _tokens order.
+def _token_dests(P: RoundMatrix, loads: np.ndarray, v: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Row target whose interval holds r[i], for token i of vertex v[i].
 
-    r is in token units, so token k's sample lies in [k, k+1]; the last
-    interval also takes a point that rounded up onto the row's top end x_v.
-    Each interval end hi of a loaded row falls in the window (k, k+1] of
-    exactly one token, k = ceil(hi) - 1, so a token's column counts the
-    ends in earlier windows plus the ends in its own window at or below r.
+    r is in token units. Complex values order by real part, then imaginary
+    part, so among the keys (row, end * x_row) those at or below (v, r) are
+    the rows before v and the ends of v's row at or below r: their count is
+    the entry of the half-open interval holding r. The parts are assigned,
+    so none is rounded. The last interval also takes an r that rounded up
+    onto the row's top end x_v.
     """
-    x = loads[P.rows]
-    e = np.flatnonzero(x)
-    hi = P.ends[e] * x[e].astype(np.float64)
-    at = starts[P.rows[e]] + np.ceil(hi).astype(np.int64) - 1  # the window holding each end
-    per_window = np.bincount(at, minlength=r.size)
-    earlier = np.cumsum(per_window) - per_window
-    col = earlier - earlier[starts[v]] + np.bincount(at, weights=hi <= r[at], minlength=r.size)
-    entry = np.minimum(P.indptr[v] + col.astype(np.int64), P.indptr[v + 1] - 1)
+    key = np.empty(P.ends.size, dtype=np.complex128)
+    key.real, key.imag = P.rows, P.ends * loads[P.rows]
+    query = np.empty(r.size, dtype=np.complex128)
+    query.real, query.imag = v, r
+    entry = np.minimum(np.searchsorted(key, query, side="right"), P.indptr[v + 1] - 1)
     return P.targets[entry]
 
 
@@ -297,8 +287,7 @@ def step_batch(x: LoadConfig, P: RoundMatrix, rng, trace: bool = False):
     cfg = _conserved(_scatter(P.targets, interior, dest, P.n), x.total)
     if not trace:
         return cfg
-    starts = np.cumsum(loads) - loads
-    at = starts[v] + k.astype(np.int64)
+    at = (np.cumsum(loads) - loads)[v] + k.astype(np.int64)  # flat position of each draw
     sampled = np.zeros(x.total, dtype=bool)
     sampled[at] = True
     dests = np.empty(x.total, dtype=np.int64)
@@ -307,7 +296,7 @@ def step_batch(x: LoadConfig, P: RoundMatrix, rng, trace: bool = False):
     dests[~sampled] = np.repeat(P.targets, interior.astype(np.int64))
     r = np.full(x.total, np.nan)
     r[at] = k + u
-    return cfg, StepTrace._split(loads, starts, dests, sampled, r)
+    return cfg, StepTrace(loads, loads, dests, sampled, r)
 
 
 def step_naive(x: LoadConfig, P: RoundMatrix, rng, trace: bool = False):
@@ -319,12 +308,12 @@ def step_naive(x: LoadConfig, P: RoundMatrix, rng, trace: bool = False):
     if x.n != P.n:
         raise ValidationError(f"config has {x.n} vertices, matrix has {P.n}")
     loads = x.loads
-    v, k, starts = _tokens(loads)
+    v, k, _ = _tokens(loads)
     r = k + rng.random(v.size)
-    dest = _token_dests(P, loads, starts, v, r)
+    dest = _token_dests(P, loads, v, r)
     cfg = _conserved(np.bincount(dest, minlength=P.n), x.total)
     if trace:
-        return cfg, StepTrace._split(loads, starts, dest, np.ones(r.size, dtype=bool), r)
+        return cfg, StepTrace(loads, loads, dest, np.ones(r.size, dtype=bool), r)
     return cfg
 
 

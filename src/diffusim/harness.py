@@ -152,6 +152,8 @@ def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
         raise ValidationError(f"stride must be >= 0, got {spec.stride}")
     if spec.jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {spec.jobs}")
+    if spec.seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {spec.seed}")
     g = build_graph(spec.graph) if spec.graph else None
     P = build_matrix(spec.matrix, g)
     if g is not None and g.n != P.n:

@@ -33,7 +33,15 @@ from diffusim import (
     step_send_round3d,
     uniform_config,
 )
-from diffusim.discrete import MAX_TOTAL, SAMPLERS, block_stepper, loads_text, parse_loads_text
+from diffusim.discrete import (
+    MAX_TOTAL,
+    SAMPLERS,
+    _token_dests,
+    _tokens,
+    block_stepper,
+    loads_text,
+    parse_loads_text,
+)
 from diffusim.verify import (
     LEMMA_SUM_TOL,
     check_step_trace,
@@ -154,9 +162,10 @@ def test_triangle_two_tokens_enumeration(lazy_triangle):
 def test_batch_triangle_token1_deterministic(lazy_triangle):
     x = LoadConfig.from_loads([2, 0, 0])
     _, tr = step_batch(x, lazy_triangle, np.random.default_rng(0), trace=True)
-    assert not tr.sampled[0][1]       # token 1 routed without a draw
-    assert tr.destinations[0][1] == 0  # to self
-    assert tr.sampled[0][0]
+    # vertex 0 holds both tokens, so they are the whole flat trace
+    assert not tr.sampled[1]       # token 1 routed without a draw
+    assert tr.destinations[1] == 0  # to self
+    assert tr.sampled[0]
 
 
 def test_batch_figure1_deterministic_tokens():
@@ -165,9 +174,10 @@ def test_batch_figure1_deterministic_tokens():
     rng = np.random.default_rng(3)
     for _ in range(50):
         _, tr = step_batch(x, P, rng, trace=True)
-        assert tr.destinations[4][3] == 4 and tr.destinations[4][4] == 4
-        assert not tr.sampled[4][3] and not tr.sampled[4][4]
-        assert list(tr.sampled[4][:3]) == [True, True, True]
+        assert list(tr.counts) == [0, 0, 0, 0, 5]  # the hub's tokens are the whole trace
+        assert tr.destinations[3] == 4 and tr.destinations[4] == 4
+        assert not tr.sampled[3] and not tr.sampled[4]
+        assert list(tr.sampled[:3]) == [True, True, True]
 
 
 def test_exact_split_matches_between_samplers():
@@ -229,18 +239,31 @@ def test_traced_steps_match_invariants(lazy_cycle16):
     for sampler in ("naive", "batch"):
         nxt, tr = SAMPLERS[sampler](cfg, lazy_cycle16, rng, trace=True)
         assert check_step_trace(lazy_cycle16, tr) == []
-        recount = np.bincount(np.concatenate(tr.destinations), minlength=16)
+        recount = np.bincount(tr.destinations, minlength=16)
         assert np.array_equal(recount, nxt.loads)
 
 
 def test_check_step_trace_reports_bad_destinations(lazy_cycle16):
     _, tr = step_batch(point_config(16, 32), lazy_cycle16, np.random.default_rng(0), trace=True)
-    tr.destinations[0] = tr.destinations[0].copy()
-    tr.destinations[0][5] = 8          # not a neighbor of vertex 0
+    tr.destinations = tr.destinations.copy()  # vertex 0 holds every token
+    tr.destinations[5] = 8          # not a neighbor of vertex 0
     assert check_step_trace(lazy_cycle16, tr) == ["v=0 token 5: destination 8 outside row support"]
-    tr.destinations[0][5] = 15         # token 5 of 32 lies inside the interval of neighbor 1
+    tr.destinations[5] = 15         # token 5 of 32 lies inside the interval of neighbor 1
     assert check_step_trace(lazy_cycle16, tr)[0] == (
         "v=0: tokens [5] routed to zero-probability targets")
+
+
+def _per_vertex(trace, flat):
+    """A flat per-token trace array cut into one slice per vertex."""
+    return np.split(flat, np.cumsum(trace.counts)[:-1])
+
+
+def _set_destinations(trace, v, dest):
+    """Replace the destinations of vertex v's tokens, and its count, by dest."""
+    per_vertex = _per_vertex(trace, trace.destinations)
+    per_vertex[v] = dest
+    trace.destinations = np.concatenate(per_vertex)
+    trace.counts = np.array([d.size for d in per_vertex])
 
 
 def _reference_check_step_trace(P, trace):
@@ -248,9 +271,8 @@ def _reference_check_step_trace(P, trace):
     call per loaded vertex."""
     violations = []
     x = trace.loads_before
-    for v in range(P.n):
+    for v, dest in enumerate(_per_vertex(trace, trace.destinations)):
         x_v = int(x[v])
-        dest = trace.destinations[v]
         if dest.size != x_v:
             violations.append(f"v={v}: outflow {dest.size} != load {x_v}")
             continue
@@ -313,7 +335,7 @@ def test_check_step_trace_matches_reference_loop(seed, chain, sampler, corruptio
     assert check_step_trace(P, tr) == _reference_check_step_trace(P, tr) == []
     loaded = np.flatnonzero(tr.loads_before)
     for v in rng.choice(loaded, size=min(corruptions, loaded.size), replace=False):
-        d = tr.destinations[v].copy()
+        d = _per_vertex(tr, tr.destinations)[v].copy()
         i, j = rng.integers(0, d.size, size=2)
         kind = int(rng.integers(0, 3))
         if kind == 0:    # moved to a random vertex, mostly off the row's support
@@ -322,8 +344,43 @@ def test_check_step_trace_matches_reference_loop(seed, chain, sampler, corruptio
             d[[i, j]] = d[[j, i]]
         else:            # a token dropped or duplicated: outflow != load
             d = np.delete(d, i) if rng.random() < 0.5 else np.insert(d, i, d[i])
-        tr.destinations[v] = d
+        _set_destinations(tr, v, d)
     assert check_step_trace(P, tr) == _reference_check_step_trace(P, tr)
+
+
+ROUTER_CHAINS = {
+    **TRACE_CHAINS,
+    "metropolis-star50": lambda n, rng: metropolis_matrix(gen_star(50)),
+    "figure-row": lambda n, rng: figure_row_matrix(),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), chain=st.sampled_from(sorted(ROUTER_CHAINS)))
+def test_naive_router_matches_per_row_search(seed, chain):
+    # the one lexicographic search against a search of each token's own row
+    # intervals in token units, with samples forced onto a window start k,
+    # onto an interval end and onto the row's top end x_v
+    rng = np.random.default_rng(seed)
+    P = ROUTER_CHAINS[chain](int(rng.integers(2, 12)), rng)
+    loads = random_config(P.n, int(rng.integers(0, 20 * P.n)), seed).loads
+    v, k, _ = _tokens(loads)
+    x = loads[v]
+    r = k + rng.random(v.size)
+    mode = rng.integers(0, 4, size=v.size)
+    r[mode == 1] = k[mode == 1]
+    r[mode == 3] = x[mode == 3]
+    for i in np.flatnonzero(mode == 2):
+        ends = P.row(v[i]).ends * x[i]
+        ends = ends[(ends >= k[i]) & (ends <= k[i] + 1)]
+        if ends.size:
+            r[i] = ends[rng.integers(ends.size)]
+    want = np.empty(v.size, dtype=np.int64)
+    for i in range(v.size):
+        row = P.row(v[i])
+        col = np.searchsorted(row.ends * x[i], r[i], side="right")
+        want[i] = row.targets[min(col, row.targets.size - 1)]
+    assert np.array_equal(_token_dests(P, loads, v, r), want)
 
 
 def test_batch_trace_consumes_the_same_draws(lazy_triangle):
@@ -349,7 +406,7 @@ def test_batch_trace_stream_pinned(lazy_cycle16):
 
 
 def _trace_digest(h, tr):
-    for dest, sampled, r in zip(tr.destinations, tr.sampled, tr.r_values):
+    for dest, sampled, r in zip(*(_per_vertex(tr, a) for a in (tr.destinations, tr.sampled, tr.r_values))):
         h.update(dest.astype(np.int64).tobytes())
         h.update(sampled.astype(bool).tobytes())
         h.update(np.where(np.isnan(r), -1.0, r).tobytes())
@@ -406,7 +463,7 @@ def test_independence_of_token_destinations():
     targets = [2, 3, 4]  # watch token k landing on row position targets[k]
     for i in range(trials):
         _, tr = step_naive(x, P, rng, trace=True)
-        dest = tr.destinations[4]
+        dest = tr.destinations  # the hub holds every token
         for k in range(3):
             hits[i, k] = dest[k] == targets[k]
     for a in range(3):

@@ -364,6 +364,15 @@ def test_cli_jobs_below_one_exit_2(tmp_path, capsys, jobs):
     assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_cli_negative_seed_exit_2(tmp_path, capsys, command):
+    # rejected up front: simulate would otherwise stop at cycle:5000's dense eigensolver limit
+    args = {"simulate": ["--graph", "cycle:5000", "--out", str(tmp_path / "o.csv")],
+            "verify": ["--suite", "prop1"]}[command]
+    assert main([command, *args, "--seed", "-1"]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_cli_steps_auto_above_dense_limit_exit_2(tmp_path, capsys):
     assert main(["simulate", "--graph", "cycle:5000", "--out", str(tmp_path / "o.csv")]) == 2
     assert "above dense eigensolver limit" in capsys.readouterr().err
