@@ -105,6 +105,11 @@ class LoadConfig:
         return int(self.loads.size)
 
 
+# The per-step code below calls ndarray methods and ufuncs (a.cumsum(),
+# b.nonzero()[0], np.add.reduce(a)) in place of the module functions
+# (np.cumsum, np.flatnonzero, a.sum()): they compute the same values, and on
+# the 5-30 tokens of a verify step each module wrapper costs 0.5-1.5 us more
+# than the call it wraps, over tens of thousands of steps.
 def _conserved(new: np.ndarray, total: int) -> LoadConfig:
     """Wrap a step's output after checking that it kept every token.
 
@@ -113,10 +118,10 @@ def _conserved(new: np.ndarray, total: int) -> LoadConfig:
     """
     if new.dtype != np.int64:
         raise ValidationError(f"step produced {new.dtype} loads, expected int64")
-    got = int(new.sum())
+    got = int(np.add.reduce(new))
     if got != total:
         raise ValidationError(f"step produced total {got}, expected {total}")
-    if new.min() < 0:
+    if np.minimum.reduce(new) < 0:
         raise ValidationError("loads must be nonnegative")
     new.flags.writeable = False
     return LoadConfig(new, total)
@@ -204,20 +209,20 @@ def _route(loads: np.ndarray, P, rngs, n: int):
     flo = np.floor(hi)
     interior = flo - np.ceil(lo)
     np.maximum(interior, 0.0, out=interior)
-    e = np.flatnonzero(hi != flo)  # cuts inside a window; a row's last end x_v is whole
+    e = (hi != flo).nonzero()[0]  # cuts inside a window; a row's last end x_v is whole
     v = P.rows[e]
     k = flo[e]
     cut = hi[e] - k                # the cut's offset in token k's window
     shared = (v[1:] == v[:-1]) & (k[1:] == k[:-1])  # the next cut splits the same token
-    if not shared.any():
+    if not np.logical_or.reduce(shared):
         u = _draws(rngs, v, n)
         return interior, v, k, u, e + (u >= cut)
     # a token straddling several cuts draws once and goes left of the first
     # cut above u, or right of its last cut
     start = np.concatenate(([True], ~shared))
-    first = np.flatnonzero(start)
+    first = start.nonzero()[0]
     u = _draws(rngs, v[first], n)
-    below = cut <= u[np.cumsum(start) - 1]
+    below = cut <= u[start.cumsum() - 1]
     return interior, v[first], k[first], u, e[first] + np.add.reduceat(below, first)
 
 
@@ -247,8 +252,8 @@ def _tile(P: RoundMatrix, B: int):
 def _tokens(loads: np.ndarray):
     """(v, k, starts): the vertex and index k of every token, vertex by
     vertex, and the flat position of each vertex's first token."""
-    starts = np.cumsum(loads) - loads
-    v = np.repeat(np.arange(loads.size), loads)
+    starts = loads.cumsum() - loads
+    v = np.arange(loads.size).repeat(loads)
     return v, np.arange(v.size) - starts[v], starts
 
 
@@ -266,7 +271,7 @@ def _token_dests(P: RoundMatrix, loads: np.ndarray, v: np.ndarray, r: np.ndarray
     key.real, key.imag = P.rows, P.ends * loads[P.rows]
     query = np.empty(r.size, dtype=np.complex128)
     query.real, query.imag = v, r
-    entry = np.minimum(np.searchsorted(key, query, side="right"), P.indptr[v + 1] - 1)
+    entry = np.minimum(key.searchsorted(query, side="right"), P.indptr[v + 1] - 1)
     return P.targets[entry]
 
 
@@ -287,14 +292,15 @@ def step_batch(x: LoadConfig, P: RoundMatrix, rng, trace: bool = False):
     cfg = _conserved(_scatter(P.targets, interior, dest, P.n), x.total)
     if not trace:
         return cfg
-    at = (np.cumsum(loads) - loads)[v] + k.astype(np.int64)  # flat position of each draw
+    at = (loads.cumsum() - loads)[v] + k.astype(np.int64)  # flat position of each draw
     sampled = np.zeros(x.total, dtype=bool)
     sampled[at] = True
     dests = np.empty(x.total, dtype=np.int64)
     dests[at] = dest
     # the other tokens fill each interval's whole windows in row order
-    dests[~sampled] = np.repeat(P.targets, interior.astype(np.int64))
-    r = np.full(x.total, np.nan)
+    dests[~sampled] = P.targets.repeat(interior.astype(np.int64))
+    r = np.empty(x.total)
+    r.fill(np.nan)
     r[at] = k + u
     return cfg, StepTrace(loads, loads, dests, sampled, r)
 
@@ -313,7 +319,9 @@ def step_naive(x: LoadConfig, P: RoundMatrix, rng, trace: bool = False):
     dest = _token_dests(P, loads, v, r)
     cfg = _conserved(np.bincount(dest, minlength=P.n), x.total)
     if trace:
-        return cfg, StepTrace(loads, loads, dest, np.ones(r.size, dtype=bool), r)
+        sampled = np.empty(r.size, dtype=bool)
+        sampled.fill(True)
+        return cfg, StepTrace(loads, loads, dest, sampled, r)
     return cfg
 
 
@@ -457,6 +465,8 @@ def config_from_preset(preset: str, n: int) -> LoadConfig:
     if name == "uniform" and len(nums) == 1:
         return uniform_config(n, *nums)
     if name == "random" and len(nums) == 2:
+        if nums[1] < 0:
+            raise ValidationError(f"seed in {preset!r} must be >= 0, got {nums[1]}")
         return random_config(n, *nums)
     raise ValidationError(f"unknown loads preset {preset!r}")
 

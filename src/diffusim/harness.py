@@ -62,6 +62,8 @@ def build_graph(spec: str) -> graphs.Graph:
         if name == "torus" and len(params) == 2:
             return graphs.gen_torus(params[0], params[1])
         if name == "random-regular" and len(params) == 3:
+            if params[2] < 0:
+                raise ValidationError(f"seed in {spec!r} must be >= 0, got {params[2]}")
             return graphs.gen_random_regular(params[0], params[1], params[2])
     except ValueError as exc:
         if isinstance(exc, DiffusimError):

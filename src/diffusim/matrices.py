@@ -284,27 +284,37 @@ def detailed_balance_pi(P: RoundMatrix) -> np.ndarray | None:
 
     pi is read off detailed balance, pi_u / pi_v = P[v,u] / P[u,v], along a
     breadth-first tree from vertex 0 and then checked on every entry with
-    is_reversible, so periodic chains are handled too. Raises
-    NotIrreducibleError for reducible chains.
+    is_reversible, so periodic chains are handled too. The tree scans each
+    row in entry order and gives u the first vertex that reaches it as its
+    parent. Raises NotIrreducibleError for reducible chains.
     """
     if not P.irreducible:
         raise NotIrreducibleError("detailed balance requested for a reducible chain")
     if P.symmetric:
         pi = np.full(P.n, 1.0 / P.n)
     else:
-        from scipy import sparse  # here, not at the top: symmetric chains never get here
-        from scipy.sparse import csgraph
-
-        S = sparse.csr_matrix((P.probs, P.targets, P.indptr), shape=(P.n, P.n))
-        order, pred = csgraph.breadth_first_order(S, 0, return_predecessors=True)
-        child = order[1:]
-        back = np.asarray(S[child, pred[child]]).ravel()
-        if np.any(back == 0.0):
+        # a plain queue: a numpy pass per BFS level would cost one call per
+        # level, so a long path would take thousands of calls
+        indptr, targets = P.indptr.tolist(), P.targets.tolist()
+        parent = [-1] * P.n
+        parent[0] = 0
+        order, tree = [0], []   # tree[j]: the entry (parent, u) of u = order[j + 1]
+        for v in order:         # the loop also visits the vertices appended to order
+            for i in range(indptr[v], indptr[v + 1]):
+                u = targets[i]
+                if parent[u] < 0:
+                    parent[u] = v
+                    order.append(u)
+                    tree.append(i)
+        tree = np.array(tree, dtype=np.int64)
+        back = P.transpose[tree]
+        if np.any(back < 0):
             return None
-        step = np.log(np.asarray(S[pred[child], child]).ravel() / back)
-        log_pi = np.zeros(P.n)
-        for u, s in zip(child.tolist(), step.tolist()):  # parents come first
-            log_pi[u] = log_pi[pred[u]] + s
+        step = np.log(P.probs[tree] / P.probs[back])
+        log_pi = [0.0] * P.n
+        for u, s in zip(order[1:], step.tolist()):  # parents come first
+            log_pi[u] = log_pi[parent[u]] + s
+        log_pi = np.array(log_pi)
         pi = np.exp(log_pi - log_pi.max())
         pi /= pi.sum()
     return pi if is_reversible(P, pi) else None

@@ -373,6 +373,24 @@ def test_cli_negative_seed_exit_2(tmp_path, capsys, command):
     assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, spec", [
+    ("simulate", "random:100:-1"),
+    ("simulate", "random-regular:8:3:-1"),
+    ("bounds", "random-regular:8:3:-1"),
+])
+def test_cli_negative_seed_in_spec_exit_2(tmp_path, capsys, monkeypatch, command, spec):
+    # the spec's own seed is checked before numpy sees it
+    def refuse(seed):
+        raise AssertionError(f"numpy was handed seed {seed}")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    option = "--loads" if spec.startswith("random:") else "--graph"
+    args = {"simulate": ["--graph", "cycle:8", "--steps", "3", "--out", str(tmp_path / "o.csv")],
+            "bounds": ["--matrix", "lazy-rw"]}[command]
+    assert main([command, *args, option, spec]) == 2
+    assert f"seed in {spec!r} must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_cli_steps_auto_above_dense_limit_exit_2(tmp_path, capsys):
     assert main(["simulate", "--graph", "cycle:5000", "--out", str(tmp_path / "o.csv")]) == 2
     assert "above dense eigensolver limit" in capsys.readouterr().err
@@ -411,8 +429,8 @@ def test_cli_oversize_total_exit_2_under_optimize(tmp_path):
 
 
 def test_cli_simulate_symmetric_chains_loads_no_scipy(tmp_path):
-    # scipy.sparse costs ~0.4 s at import; a symmetric support needs none of
-    # it, and only verify's chi-square needs scipy.special
+    # scipy.sparse costs ~0.25 s at import; a reversible chain or a symmetric
+    # support needs none of it, and only verify's chi-square needs scipy.special
     runs = [["simulate", "--graph", graph, "--matrix", matrix, "--loads", "point:100", "--steps", "3",
              "--trials", "2", "--out", str(tmp_path / f"{matrix}.csv")]
             for graph, matrix in (("cycle:64", "lazy-rw"), ("star:50", "metropolis"))]
@@ -482,8 +500,9 @@ def test_cli_verify_dirichlet_output_pinned(capsys):
     assert float(out.split("worst gap ")[1].split()[0]) <= 1e-15
 
 
-def test_cli_bounds_birth_death_1000_exact_pi(tmp_path, capsys):
-    # lazy weighted walk on a path: reversible, not symmetric, pi = W / sum(W)
+def _birth_death_1000():
+    """The lazy weighted walk on a 1000-vertex path, reversible and not
+    symmetric, and its stationary distribution W / sum(W)."""
     n = 1000
     w = np.random.default_rng(3).uniform(0.5, 2.0, n - 1)  # weight of edge (v, v + 1)
     W = np.zeros(n)
@@ -493,13 +512,36 @@ def test_cli_bounds_birth_death_1000_exact_pi(tmp_path, capsys):
     P = diffusim.custom_matrix(list(zip(range(n), range(n), [0.5] * n))
                                + list(zip(v, v + 1, w / (2 * W[:-1])))
                                + list(zip(v + 1, v, w / (2 * W[1:]))), n=n)
-    pi_exact = W / W.sum()
+    return P, W / W.sum()
+
+
+def test_cli_bounds_birth_death_1000_exact_pi(tmp_path, capsys):
+    P, pi_exact = _birth_death_1000()
     assert np.max(np.abs(diffusim.stationary_distribution(P) - pi_exact)) <= 1e-12
     path = tmp_path / "bd.txt"
     path.write_text(P.to_text())
     bound = np.sqrt(2 * pi_exact.max() / (pi_exact[P.rows] * P.probs).min())
     assert main(["bounds", "--graph", "", "--matrix", f"file:{path}"]) == 0
     assert f"psi2_bound_reversible={bound:.10g}\n" in capsys.readouterr().out
+
+
+def test_cli_reversible_chains_load_no_scipy_sparse(tmp_path):
+    # pi of a reversible chain comes from a breadth-first tree over the CSR
+    # arrays: the dirichlet and psi2 suites and bounds on a non-symmetric
+    # reversible file: chain import no scipy.sparse module
+    path = tmp_path / "bd.txt"
+    path.write_text(_birth_death_1000()[0].to_text())
+    runs = [["verify", "--suite", "dirichlet", "--suite", "psi2"],
+            ["bounds", "--graph", "", "--matrix", f"file:{path}"]]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from diffusim import cli; "
+         f"codes = [cli.main(args) for args in {runs!r}]; "
+         "print(codes, sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "psi2_bound_reversible=5.590240644" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
 
 
 def test_cli_verify_failure_exit_3(monkeypatch, capsys):

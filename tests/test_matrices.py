@@ -211,21 +211,90 @@ def test_stationary_matches_weighted_degree_oracle():
         assert is_reversible(P, pi)
 
 
+def _reference_detailed_balance_pi(P):
+    """detailed_balance_pi with its breadth-first tree and its tree entries
+    taken from scipy's csgraph.breadth_first_order and sparse indexing."""
+    if not P.irreducible:
+        raise NotIrreducibleError("detailed balance requested for a reducible chain")
+    if P.symmetric:
+        pi = np.full(P.n, 1.0 / P.n)
+    else:
+        S = sparse.csr_matrix((P.probs, P.targets, P.indptr), shape=(P.n, P.n))
+        order, pred = csgraph.breadth_first_order(S, 0, return_predecessors=True)
+        child = order[1:]
+        back = np.asarray(S[child, pred[child]]).ravel()
+        if np.any(back == 0.0):
+            return None
+        step = np.log(np.asarray(S[pred[child], child]).ravel() / back)
+        log_pi = np.zeros(P.n)
+        for u, s in zip(child.tolist(), step.tolist()):  # parents come first
+            log_pi[u] = log_pi[pred[u]] + s
+        pi = np.exp(log_pi - log_pi.max())
+        pi /= pi.sum()
+    return pi if is_reversible(P, pi) else None
+
+
+def _assert_detailed_balance_pi_is_reference(P):
+    pi, ref = detailed_balance_pi(P), _reference_detailed_balance_pi(P)
+    assert (pi is None) == (ref is None)
+    assert ref is None or np.array_equal(pi, ref)
+    return pi
+
+
+def _birth_death_path(n, rng):
+    """Lazy weighted walk on a path with randomly numbered vertices, so the
+    tree from vertex 0 has two branches of random lengths."""
+    w = rng.uniform(0.5, 2.0, n - 1)
+    W = np.zeros(n)
+    W[:-1] += w
+    W[1:] += w
+    v, perm = np.arange(n), rng.permutation(n)
+    a, b = perm[v[:-1]], perm[v[1:]]
+    return RoundMatrix.from_entries(n, np.concatenate((a, b, perm)), np.concatenate((b, a, perm)),
+                                    np.concatenate((w / (2 * W[:-1]), w / (2 * W[1:]), np.full(n, 0.5))))
+
+
 def test_detailed_balance_pi():
     rng = np.random.default_rng(8)
     for _ in range(10):
         P, pi_exact = random_reversible_lazy_chain(int(rng.integers(2, 17)), rng)
-        assert np.max(np.abs(detailed_balance_pi(P) - pi_exact)) <= 1e-12
+        assert np.max(np.abs(_assert_detailed_balance_pi_is_reference(P) - pi_exact)) <= 1e-12
+    assert _assert_detailed_balance_pi_is_reference(_birth_death_path(1000, rng)) is not None
     # periodic and not symmetric: power iteration would oscillate forever
     star = custom_matrix(NON_LAZY_STAR4)
-    assert np.allclose(detailed_balance_pi(star), [1 / 2, 1 / 6, 1 / 6, 1 / 6], rtol=0, atol=1e-15)
+    assert np.allclose(_assert_detailed_balance_pi_is_reference(star), [1 / 2, 1 / 6, 1 / 6, 1 / 6],
+                       rtol=0, atol=1e-15)
     cyclic = custom_matrix([(v, (v + 1) % 3, 0.4) for v in range(3)] + [(v, (v + 2) % 3, 0.1) for v in range(3)]
                            + [(v, v, 0.5) for v in range(3)])
-    assert detailed_balance_pi(cyclic) is None  # doubly stochastic, not reversible
+    assert _assert_detailed_balance_pi_is_reference(cyclic) is None  # doubly stochastic, not reversible
     one_way = custom_matrix([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 0.5), (2, 1, 0.5)])
-    assert detailed_balance_pi(one_way) is None  # P[0,1] > 0 but P[1,0] = 0
+    assert _assert_detailed_balance_pi_is_reference(one_way) is None  # P[0,1] > 0 but P[1,0] = 0
+    # the tree 0 -> 1 -> 2 balances, but the entry (2, 0) has no reverse entry
+    off_tree = custom_matrix([(0, 1, 0.5), (0, 0, 0.5), (1, 0, 0.25), (1, 2, 0.25), (1, 1, 0.5),
+                              (2, 1, 0.25), (2, 0, 0.25), (2, 2, 0.5)])
+    assert _assert_detailed_balance_pi_is_reference(off_tree) is None
     with pytest.raises(NotIrreducibleError):
         detailed_balance_pi(custom_matrix([(0, 0, 1.0), (1, 1, 1.0)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["weighted", "birth-death"]), n=st.integers(2, 40),
+       seed=st.integers(0, 2**32 - 1), drop=st.booleans())
+def test_detailed_balance_pi_equals_scipy_tree_reference(kind, n, seed, drop):
+    rng = np.random.default_rng(seed)
+    P = random_reversible_lazy_chain(n, rng)[0] if kind == "weighted" else _birth_death_path(n, rng)
+    if drop:  # one entry moved onto its row's self-loop, so its reverse entry has none
+        i = rng.choice(np.flatnonzero(P.rows != P.targets))
+        probs = P.probs.copy()
+        probs[P.indptr[P.rows[i] + 1] - 1] += probs[i]
+        probs[i] = 0.0
+        P = RoundMatrix.from_entries(n, P.rows, P.targets, probs)
+        if not P.irreducible:
+            for f in (detailed_balance_pi, _reference_detailed_balance_pi):
+                with pytest.raises(NotIrreducibleError):
+                    f(P)
+            return
+    assert (_assert_detailed_balance_pi_is_reference(P) is None) == drop
 
 
 def test_stationary_non_lazy_star4_exact_and_fast():
