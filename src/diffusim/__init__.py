@@ -25,10 +25,6 @@ from .discrete import (
     run,
     step_batch,
     step_naive,
-    step_rsend,
-    step_send_floor2d,
-    step_send_partition,
-    step_send_round3d,
     uniform_config,
 )
 from .errors import (

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .discrete import ALGORITHMS
 from .errors import DiffusimError
 from .harness import ExperimentSpec, bounds_report, divergence_report, simulate_to_csv
 from .verify import SUITES, run_suites
@@ -30,9 +31,7 @@ def _build_parser() -> _Parser:
                      help="cycle:N | hypercube:D | star:N | complete:N | torus:A:B | "
                           "random-regular:N:D:SEED | file:PATH")
     sim.add_argument("--matrix", default="lazy-rw", help="lazy-rw | metropolis | file:PATH")
-    sim.add_argument("--algorithm", default="alg2-batch",
-                     help="alg2-naive | alg2-batch | send-floor2d | send-round3d | "
-                          "send-partition | rsend")
+    sim.add_argument("--algorithm", default=ExperimentSpec.algorithm, help=" | ".join(ALGORITHMS))
     sim.add_argument("--loads", default="point:1000",
                      help="point:M | uniform:M | random:M:SEED | file:PATH")
     sim.add_argument("--steps", default="auto", help="step count or 'auto'")

@@ -1,4 +1,5 @@
-"""Discrete token diffusion: interval samplers and deterministic baselines.
+"""Discrete token diffusion: interval samplers, deterministic baselines and
+the algorithm registry.
 
 At vertex v holding x_v tokens, token k samples a number r uniformly from
 [k/x_v, (k+1)/x_v) and moves to the neighbor whose row interval contains r.
@@ -21,13 +22,17 @@ Two samplers are first-class:
   token index, from a single generator call per step. trace=True records
   the same draws, so tracing never changes the next configuration.
 
-block_stepper runs that routing path for a block of trials at once, each
-trial drawing from its own generator exactly as step_batch would.
+ALGORITHMS maps each algorithm that simulate runs to a block stepper
+factory: alg2-naive and alg2-batch (the two samplers), the deterministic
+baselines send-floor2d, send-round3d and send-partition, and rsend. A block
+stepper steps a block of trials at once, each trial drawing from its own
+generator exactly as it would alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -42,12 +47,9 @@ __all__ = [
     "deterministic_token_mask",
     "step_naive",
     "step_batch",
-    "block_stepper",
     "run",
-    "step_send_floor2d",
-    "step_send_round3d",
-    "step_send_partition",
-    "step_rsend",
+    "ALGORITHMS",
+    "Baseline",
     "point_config",
     "uniform_config",
     "random_config",
@@ -178,7 +180,7 @@ def deterministic_token_mask(P: RoundMatrix, v: int, x_v: int) -> np.ndarray:
 
 
 def _draws(rngs, v: np.ndarray, n: int) -> np.ndarray:
-    """One uniform per boundary token at flat vertex v. The tokens of trial
+    """One uniform per entry of v, a flat vertex index. The entries of trial
     b = v // n draw from rngs[b] in one call, and trials come in order."""
     if len(rngs) == 1:
         return rngs[0].random(v.size)
@@ -325,25 +327,6 @@ def step_naive(x: LoadConfig, P: RoundMatrix, rng, trace: bool = False):
     return cfg
 
 
-def block_stepper(P: RoundMatrix, rngs):
-    """step_batch for B = len(rngs) trials in lockstep: a function from the
-    trials' loads to their loads one round later.
-
-    The loads lie one trial after another (trial b at b*n..b*n+n-1) and are
-    routed over I_B (x) P in one pass. Trial b's boundary tokens draw from
-    rngs[b] in the single call step_batch would make, so each trial's stream
-    and next loads are exactly step_batch's. The new loads are unchecked:
-    the caller checks conservation per trial.
-    """
-    M, rngs = _tile(P, len(rngs)), tuple(rngs)
-
-    def step(loads: np.ndarray) -> np.ndarray:
-        interior, _, _, _, e = _route(loads, M, rngs, P.n)
-        return _scatter(M.targets, interior, M.targets[e], loads.size)
-
-    return step
-
-
 SAMPLERS = {"naive": step_naive, "batch": step_batch}
 
 
@@ -358,73 +341,120 @@ def run(x0: LoadConfig, P: RoundMatrix, T: int, rng):
 
 
 # ---------------------------------------------------------------------------
-# Deterministic baselines (regular graphs only) and the rotor-free RSend.
+# Block steppers and the algorithm registry.
+#
+# A block stepper steps B = len(rngs) trials in lockstep: a function from the
+# trials' loads, one trial after another (trial b at b*n..b*n+n-1), to their
+# loads one round later. Trial b draws only from rngs[b], in the calls its
+# one-trial round makes, so its stream and next loads do not depend on the
+# block. The new loads are unchecked: the caller checks conservation per
+# trial. ALGORITHMS maps each algorithm to its factory (P, g, rngs) -> step.
 # ---------------------------------------------------------------------------
 
 
-def _scatter_to_neighbors(g: Graph, per_edge: np.ndarray) -> np.ndarray:
-    """Sum per_edge (n, d) contributions onto their neighbor targets."""
-    nbrs = g.neighbor_array()
-    out = np.bincount(nbrs.ravel(), weights=per_edge.ravel(), minlength=g.n)
+def _batch_block(P: RoundMatrix, g, rngs):
+    """step_batch over I_B (x) P in one pass; trial b's boundary tokens draw
+    from rngs[b] in the single call step_batch would make."""
+    M, rngs = _tile(P, len(rngs)), tuple(rngs)
+
+    def step(loads: np.ndarray) -> np.ndarray:
+        interior, _, _, _, e = _route(loads, M, rngs, P.n)
+        return _scatter(M.targets, interior, M.targets[e], loads.size)
+
+    return step
+
+
+def _naive_block(P: RoundMatrix, g, rngs):
+    """step_naive trial by trial: trial b draws one uniform per token from
+    rngs[b], and its tokens are searched against P's own keys (one search
+    over the tiled keys of the block would cost more than all of these)."""
+    rngs = tuple(rngs)
+
+    def step(loads: np.ndarray) -> np.ndarray:
+        new = []
+        for x, rng in zip(loads.reshape(len(rngs), P.n), rngs):
+            v, k, _ = _tokens(x)
+            new.append(np.bincount(_token_dests(P, x, v, k + rng.random(v.size)), minlength=P.n))
+        return np.concatenate(new)
+
+    return step
+
+
+@dataclass(frozen=True)
+class Baseline:
+    """Block stepper factory of a baseline, which runs on a regular graph g
+    and does not read P.
+
+    rule(loads, nbrs, rngs) is one round of the block, where nbrs is g's
+    (n, d) neighbor array tiled B times, trial b's vertices shifted by b*n.
+    Building a stepper checks that g is regular.
+    """
+
+    rule: Callable
+
+    def __call__(self, P, g: Graph, rngs):
+        d = g.regular_degree()
+        B, rngs = len(rngs), tuple(rngs)
+        nbrs = (g.neighbor_array() + g.n * np.arange(B)[:, None, None]).reshape(B * g.n, d)
+        return lambda loads: self.rule(loads, nbrs, rngs)
+
+
+def _to_neighbors(nbrs: np.ndarray, sent: np.ndarray) -> np.ndarray:
+    """Sum sent, one value per entry of nbrs in row order, onto those neighbors."""
+    out = np.bincount(nbrs.ravel(), weights=sent.ravel(), minlength=nbrs.shape[0])
     return np.rint(out).astype(np.int64)
 
 
-def step_send_floor2d(x: LoadConfig, g: Graph) -> LoadConfig:
+def _send_floor2d(loads, nbrs, rngs):
     """Each vertex sends floor(x_v / 2d) to every neighbor, keeps the rest."""
-    d = g.regular_degree()
-    if x.n != g.n:
-        raise ValidationError("config and graph size mismatch")
-    loads = x.loads
+    d = nbrs.shape[1]
     q = loads // (2 * d)
-    new = loads - d * q + _scatter_to_neighbors(g, np.repeat(q, d).reshape(g.n, d))
-    return _conserved(new, x.total)
+    return loads - d * q + _to_neighbors(nbrs, q.repeat(d))
 
 
-def step_send_round3d(x: LoadConfig, g: Graph) -> LoadConfig:
+def _send_round3d(loads, nbrs, rngs):
     """Each vertex sends round(x_v / 3d) (half-up) to every neighbor."""
-    d = g.regular_degree()
-    if x.n != g.n:
-        raise ValidationError("config and graph size mismatch")
-    loads = x.loads
+    d = nbrs.shape[1]
     q = (2 * loads + 3 * d) // (6 * d)  # floor(x/(3d) + 1/2)
-    new = loads - d * q + _scatter_to_neighbors(g, np.repeat(q, d).reshape(g.n, d))
-    if np.any(new < 0):
-        raise ValidationError("negative load produced")  # unreachable for d >= 1
-    return _conserved(new, x.total)
+    return loads - d * q + _to_neighbors(nbrs, q.repeat(d))
 
 
-def step_send_partition(x: LoadConfig, g: Graph) -> LoadConfig:
+def _send_partition(loads, nbrs, rngs):
     """Split x_v into d+1 near-equal parts: ceilings first, in ascending
     neighbor order, the self part (a floor) last."""
-    d = g.regular_degree()
-    if x.n != g.n:
-        raise ValidationError("config and graph size mismatch")
-    loads = x.loads
+    d = nbrs.shape[1]
     q, r = np.divmod(loads, d + 1)
-    extra = (np.arange(d)[None, :] < r[:, None]).astype(np.int64)
-    new = q + _scatter_to_neighbors(g, q[:, None] + extra)
-    return _conserved(new, x.total)
+    return q + _to_neighbors(nbrs, q[:, None] + (np.arange(d) < r[:, None]))
 
 
-def step_rsend(x: LoadConfig, g: Graph, rng) -> LoadConfig:
+def _rsend(loads, nbrs, rngs):
     """floor(x_v/(d+1)) to every neighbor and itself; the remainder goes to
     that many distinct targets chosen uniformly without replacement.
 
     The d+1 slots of every vertex with a remainder r_v get one uniform key
-    each, from one rng.random call; the r_v slots with the smallest keys are
-    a uniform r_v-subset.
+    each, trial b's from one rngs[b].random call; the r_v slots with the
+    smallest keys are a uniform r_v-subset.
     """
-    d = g.regular_degree()
-    if x.n != g.n:
-        raise ValidationError("config and graph size mismatch")
-    loads = x.loads
+    d = nbrs.shape[1]
     q, r = np.divmod(loads, d + 1)
-    new = q + _scatter_to_neighbors(g, np.repeat(q, d).reshape(g.n, d))
-    m = np.flatnonzero(r)
-    order = np.argsort(rng.random((m.size, d + 1)), axis=1)  # slots by ascending key
-    slots = np.column_stack((g.neighbor_array()[m], m))      # slot d is the vertex itself
+    new = q + _to_neighbors(nbrs, q.repeat(d))
+    m = r.nonzero()[0]
+    keys = _draws(rngs, m.repeat(d + 1), nbrs.shape[0] // len(rngs)).reshape(m.size, d + 1)
+    order = np.argsort(keys, axis=1)        # slots by ascending key
+    slots = np.column_stack((nbrs[m], m))   # slot d is the vertex itself
     chosen = np.take_along_axis(slots, order, axis=1)[np.arange(d + 1) < r[m, None]]
-    return _conserved(new + np.bincount(chosen, minlength=g.n), x.total)
+    return new + np.bincount(chosen, minlength=loads.size)
+
+
+ALGORITHMS = {
+    "alg2-naive": _naive_block,
+    "alg2-batch": _batch_block,
+    "send-floor2d": Baseline(_send_floor2d),
+    "send-round3d": Baseline(_send_round3d),
+    "send-partition": Baseline(_send_partition),
+    "rsend": Baseline(_rsend),
+}
+DEFAULT_ALGORITHM = "alg2-batch"
 
 
 # ---------------------------------------------------------------------------

@@ -202,7 +202,8 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
         rng.shuffle(stubs)
         pairs = stubs.reshape(-1, 2)
         key = np.sort(pairs.min(axis=1) * n + pairs.max(axis=1))
-        if np.any(pairs[:, 0] == pairs[:, 1]) or np.any(key[1:] == key[:-1]):
+        if (np.logical_or.reduce(pairs[:, 0] == pairs[:, 1])
+                or np.logical_or.reduce(key[1:] == key[:-1])):
             continue  # a self-loop or a parallel edge; restart
         try:
             return Graph.from_edges(n, pairs)

@@ -22,15 +22,13 @@ CSV_HEADER = "trial,t,disc,max_dev,bound_thm3,bound_thm1_or_2,viol_thm3,viol_dis
 # Trials step in lockstep blocks of max(1, BLOCK_ENTRIES // nnz) trials, so
 # the routing arrays of a block (I_B (x) P) stay cache-resident.
 BLOCK_ENTRIES = 2**14
-BASELINES = ("send-floor2d", "send-round3d", "send-partition", "rsend")  # regular graphs only
-ALGORITHMS = ("alg2-naive", "alg2-batch") + BASELINES
 
 
 @dataclass
 class ExperimentSpec:
     graph: str
     matrix: str = "lazy-rw"
-    algorithm: str = "alg2-batch"
+    algorithm: str = discrete.DEFAULT_ALGORITHM
     loads: str = "point:1000"
     steps: str = "auto"        # "auto" or a decimal step count
     trials: int = 1
@@ -106,28 +104,15 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
 
 
 def _check_algorithm(algorithm: str, g: graphs.Graph | None) -> None:
-    """ValidationError unless the algorithm is known and, for a baseline,
-    the graph is given and regular."""
-    if algorithm not in ALGORITHMS:
-        raise ValidationError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
-    if algorithm in BASELINES:
+    """ValidationError unless the algorithm is in the registry and, for a
+    baseline, the graph is given and regular."""
+    make = discrete.ALGORITHMS.get(algorithm)
+    if make is None:
+        raise ValidationError(f"unknown algorithm {algorithm!r}; choose from {tuple(discrete.ALGORITHMS)}")
+    if isinstance(make, discrete.Baseline):
         if g is None:
             raise ValidationError(f"algorithm {algorithm} needs a graph")
         g.regular_degree()  # raises "graph is not regular"
-
-
-def _make_stepper(algorithm: str, P: matrices.RoundMatrix, g: graphs.Graph | None):
-    """One-trial stepper of an algorithm without a batched kernel; the
-    algorithm has passed _check_algorithm."""
-    if algorithm == "alg2-naive":
-        return lambda cfg, rng: discrete.step_naive(cfg, P, rng)
-    if algorithm == "send-floor2d":
-        return lambda cfg, rng: discrete.step_send_floor2d(cfg, g)
-    if algorithm == "send-round3d":
-        return lambda cfg, rng: discrete.step_send_round3d(cfg, g)
-    if algorithm == "send-partition":
-        return lambda cfg, rng: discrete.step_send_partition(cfg, g)
-    return lambda cfg, rng: discrete.step_rsend(cfg, g, rng)
 
 
 @dataclass
@@ -235,31 +220,11 @@ def _fmt(x: float | None) -> str:
     return "" if x is None else f"{x:.10g}"
 
 
-def _block_stepper(res: ResolvedExperiment, rngs):
-    """Flat loads of a block of trials -> their next flat loads.
-
-    alg2-batch routes the whole block at once (discrete.block_stepper); every
-    other algorithm steps each trial of the block with its own stepper.
-    Either way trial b draws only from rngs[b], as it would on its own.
-    """
-    P, total = res.matrix, res.x0.total
-    if res.spec.algorithm == "alg2-batch":
-        return discrete.block_stepper(P, rngs)
-    stepper = _make_stepper(res.spec.algorithm, P, res.graph)
-
-    def step(loads: np.ndarray) -> np.ndarray:
-        loads.flags.writeable = False  # its rows become LoadConfig views
-        return np.concatenate([stepper(discrete.LoadConfig(x, total), rng).loads
-                               for x, rng in zip(loads.reshape(len(rngs), P.n), rngs)])
-
-    return step
-
-
 def _block_rows(res: ResolvedExperiment, first: int, stop: int) -> list[str]:
     """CSV rows of trials first..stop-1, stepped in lockstep, in trial order."""
     B, n, total = stop - first, res.matrix.n, res.x0.total
     rngs = [trial_rng(res.spec.seed, trial) for trial in range(first, stop)]
-    step = _block_stepper(res, rngs)
+    step = discrete.ALGORITHMS[res.spec.algorithm](res.matrix, res.graph, rngs)
     record_set = set(res.record_ts)
     bound3, bound12 = _fmt(res.bound3), _fmt(res.bound12)
     rows: list[list[str]] = [[] for _ in range(B)]

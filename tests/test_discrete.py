@@ -27,18 +27,14 @@ from diffusim import (
     run,
     step_batch,
     step_naive,
-    step_rsend,
-    step_send_floor2d,
-    step_send_partition,
-    step_send_round3d,
     uniform_config,
 )
 from diffusim.discrete import (
+    ALGORITHMS,
     MAX_TOTAL,
     SAMPLERS,
     _token_dests,
     _tokens,
-    block_stepper,
     loads_text,
     parse_loads_text,
 )
@@ -501,8 +497,29 @@ def test_run_monte_carlo_mean(lazy_triangle):
 
 
 # ---------------------------------------------------------------------------
-# deterministic baselines and RSend
+# deterministic baselines and RSend, each the registry's block stepper at B = 1
 # ---------------------------------------------------------------------------
+
+
+def _one_trial(name, x, g, rng=None):
+    # a baseline does not read P
+    return LoadConfig.from_loads(ALGORITHMS[name](None, g, (rng,))(x.loads))
+
+
+def step_send_floor2d(x, g):
+    return _one_trial("send-floor2d", x, g)
+
+
+def step_send_round3d(x, g):
+    return _one_trial("send-round3d", x, g)
+
+
+def step_send_partition(x, g):
+    return _one_trial("send-partition", x, g)
+
+
+def step_rsend(x, g, rng):
+    return _one_trial("rsend", x, g, rng)
 
 
 def test_floor2d_examples(triangle):
@@ -673,7 +690,7 @@ def test_exactness_edge_loads(chain, hub, k, rounds, seed):
     reach = loads > 0
     rng = np.random.default_rng(seed)
     cfg = LoadConfig.from_loads(loads)
-    step = block_stepper(P, [np.random.default_rng([seed, b]) for b in range(3)])
+    step = ALGORITHMS["alg2-batch"](P, None, [np.random.default_rng([seed, b]) for b in range(3)])
     block = np.tile(loads, 3)
     for _ in range(rounds):
         reach[P.targets[reach[P.rows]]] = True
@@ -683,6 +700,20 @@ def test_exactness_edge_loads(chain, hub, k, rounds, seed):
             assert int(trial.sum()) == total
             assert trial.min() >= 0
             assert not trial[~reach].any()
+
+
+@pytest.mark.parametrize("name, sampler", [("alg2-naive", "naive"), ("alg2-batch", "batch")])
+def test_registry_samplers_step_each_trial_like_one_trial_rounds(name, sampler):
+    # trial b of a block gets the loads its sampler gives from rngs[b] alone
+    P = metropolis_matrix(gen_star(12))
+    cfgs = [point_config(P.n, 30)] * 3
+    rngs = [np.random.default_rng([7, b]) for b in range(3)]
+    step = ALGORITHMS[name](P, None, [np.random.default_rng([7, b]) for b in range(3)])
+    block = np.tile(cfgs[0].loads, 3)
+    for _ in range(10):
+        block = step(block)
+        cfgs = [SAMPLERS[sampler](cfg, P, rng) for cfg, rng in zip(cfgs, rngs)]
+        assert np.array_equal(block, np.concatenate([cfg.loads for cfg in cfgs]))
 
 
 @pytest.mark.parametrize("seed, p_value", [

@@ -10,7 +10,7 @@ import pytest
 
 import diffusim
 from diffusim import ValidationError, convergence_time, discrete, harness, lazy_rw_matrix, gen_cycle
-from diffusim.cli import main
+from diffusim.cli import _build_parser, main
 from diffusim.harness import (
     CSV_HEADER,
     ExperimentSpec,
@@ -145,23 +145,20 @@ def test_jobs_do_not_change_bytes(monkeypatch):
 
 
 def _reference_rows(spec: ExperimentSpec) -> list[str]:
-    """CSV rows from a plain loop that steps one trial at a time."""
+    """CSV rows from a plain loop that steps one trial at a time, with the
+    registry's block stepper at B = 1."""
     res = resolve(spec)
-    if spec.algorithm == "alg2-batch":
-        step = lambda cfg, rng: discrete.step_batch(cfg, res.matrix, rng)  # noqa: E731
-    else:
-        step = harness._make_stepper(spec.algorithm, res.matrix, res.graph)
     fmt = lambda x: "" if x is None else f"{x:.10g}"  # noqa: E731
     rows = []
     for trial in range(spec.trials):
-        rng = trial_rng(spec.seed, trial)
-        cfg = res.x0
+        step = discrete.ALGORITHMS[spec.algorithm](res.matrix, res.graph, [trial_rng(spec.seed, trial)])
+        loads = res.x0.loads
         for t in range(res.T + 1):
             if t:
-                cfg = step(cfg, rng)
+                loads = step(loads)
             if t in res.record_ts:
-                disc = int(cfg.loads.max() - cfg.loads.min())
-                dev = float(np.abs(cfg.loads - res.oracle[t]).max())
+                disc = int(loads.max() - loads.min())
+                dev = float(np.abs(loads - res.oracle[t]).max())
                 viol3 = "" if res.bound3 is None else str(int(dev > res.bound3))
                 viol_disc = "" if res.bound12 is None else str(int(disc > res.bound12))
                 rows.append(f"{trial},{t},{disc},{dev:.10g},{fmt(res.bound3)},"
@@ -182,7 +179,17 @@ LOCKSTEP_SPECS = {
                             loads="point:30", steps="8", trials=5, seed=4),
     "rsend": ExperimentSpec(graph="torus:3:4", algorithm="rsend", loads="point:100",
                             steps="8", trials=5, seed=5),
+    "floor2d": ExperimentSpec(graph="torus:3:4", algorithm="send-floor2d", loads="point:100",
+                              steps="8", trials=5, seed=6),
+    "round3d": ExperimentSpec(graph="torus:3:4", algorithm="send-round3d", loads="point:100",
+                              steps="8", trials=5, seed=7),
+    "partition": ExperimentSpec(graph="torus:3:4", algorithm="send-partition", loads="point:100",
+                                steps="8", trials=5, seed=8),
 }
+
+
+def test_lockstep_specs_cover_the_registry():
+    assert {spec.algorithm for spec in LOCKSTEP_SPECS.values()} == set(discrete.ALGORITHMS)
 
 
 @pytest.mark.parametrize("block_entries", [harness.BLOCK_ENTRIES, 100, 1])
@@ -216,11 +223,11 @@ def test_lockstep_jobs_over_blocks_same_bytes():
 
 
 def test_lockstep_names_the_trial_that_lost_a_token(monkeypatch):
-    real = discrete.block_stepper
+    real = discrete.ALGORITHMS["alg2-batch"]
     blocks = []
 
-    def lossy(P, rngs):  # the second trial of the second block loses a token
-        step = real(P, rngs)
+    def lossy(P, g, rngs):  # the second trial of the second block loses a token
+        step = real(P, g, rngs)
         blocks.append(len(rngs))
         block = len(blocks)
 
@@ -232,7 +239,7 @@ def test_lockstep_names_the_trial_that_lost_a_token(monkeypatch):
 
         return lossy_step
 
-    monkeypatch.setattr(discrete, "block_stepper", lossy)
+    monkeypatch.setitem(discrete.ALGORITHMS, "alg2-batch", lossy)
     monkeypatch.setattr(harness, "BLOCK_ENTRIES", 100)  # cycle:16 has 48 entries: blocks of 2
     spec = ExperimentSpec(graph="cycle:16", loads="point:160", steps="5", trials=4, seed=1)
     with pytest.raises(ValidationError, match=r"^trial 3, step 1: total 159 \(expected 160\)"):
@@ -283,6 +290,15 @@ def test_bad_algorithm_rejected_before_set_up(tmp_path, monkeypatch, graph, algo
     assert main(["simulate", "--graph", graph, "--matrix", matrix, "--algorithm", algorithm,
                  "--steps", "5", "--out", str(tmp_path / "o.csv")]) == 2
     assert not (tmp_path / "o.csv").exists()
+
+
+def test_algorithm_help_and_error_list_the_registry():
+    sim = next(a for a in _build_parser()._actions if a.dest == "command").choices["simulate"]
+    help_text = next(a for a in sim._actions if a.dest == "algorithm").help
+    assert tuple(help_text.split(" | ")) == tuple(discrete.ALGORITHMS)
+    with pytest.raises(ValidationError) as exc:
+        resolve(ExperimentSpec(graph="cycle:8", algorithm="alg3", steps="5"))
+    assert str(exc.value) == f"unknown algorithm 'alg3'; choose from {tuple(discrete.ALGORITHMS)}"
 
 
 # ---------------------------------------------------------------------------
