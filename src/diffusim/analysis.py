@@ -18,7 +18,7 @@ from .errors import (
     UnsupportedMatrixError,
     ValidationError,
 )
-from .matrices import RoundMatrix, detailed_balance_pi, power_apply
+from .matrices import RoundMatrix, cayley_spectrum, detailed_balance_pi, power_apply
 
 PSI_TOL_DEFAULT = 1e-12
 PSI_T_MAX_FALLBACK = 10_000
@@ -66,7 +66,9 @@ def local_p_divergence(P: RoundMatrix, p: int = 2, tol: float = PSI_TOL_DEFAULT,
     t >= 0 (t=0 is the identity term). For p=2 on a reversible chain whose
     only eigenvalue of modulus 1 is 1 itself, the sum over t is evaluated
     exactly in the chain's spectral basis (t_stop=0, residual and tail_bound
-    0), and tol and t_max are unused. Otherwise (p=1, non-reversible or
+    0), and tol and t_max are unused; a chain that records a Cayley group
+    gets it from cayley_spectrum at any n, other chains from a dense
+    eigendecomposition. Otherwise (p=1, non-reversible or
     periodic chains) it is truncated once the per-step inner sum stays below
     tol for 3 consecutive steps, or fails with NotConvergedError after t_max.
     """
@@ -75,7 +77,9 @@ def local_p_divergence(P: RoundMatrix, p: int = 2, tol: float = PSI_TOL_DEFAULT,
     if not P.irreducible:
         raise NotIrreducibleError("local p-divergence requires an irreducible chain")
     if p == 2:
-        report = _spectral_psi2(P)
+        report = _cayley_psi2(P)
+        if report is None:
+            report = _spectral_psi2(P)
         if report is not None:
             return report
     if t_max is None:
@@ -84,6 +88,23 @@ def local_p_divergence(P: RoundMatrix, p: int = 2, tol: float = PSI_TOL_DEFAULT,
         else:
             t_max = PSI_T_MAX_FALLBACK
     return _divergence_series(P, p, tol, t_max)
+
+
+def _cayley_psi2(P: RoundMatrix) -> DivergenceReport | None:
+    """Exact psi2 of a chain that records a Cayley group, or None.
+
+    In _spectral_psi2's terms pi is uniform, L = 2d (I - A/d) = 4d (I - P)
+    and the characters are an eigenbasis with |chi_i(w)|^2 = 1/N at every w,
+    so the double sum collapses to psi2^2 = (4d/N) sum_{i>=2} 1 / (1 + lam_i)
+    at every vertex; vertex 0 is reported. Lazy chains have lam_i >= 0.
+    """
+    lam = cayley_spectrum(P)
+    if lam is None:
+        return None
+    d = len(P.group.generators)
+    value = math.sqrt(4.0 * d / P.n * float(np.sum(1.0 / (1.0 + lam[1:]))))
+    return DivergenceReport(p=2, value=value, argmax_vertex=0, t_stop=0, residual=0.0,
+                            tail_bound=0.0)
 
 
 def _spectral_psi2(P: RoundMatrix) -> DivergenceReport | None:

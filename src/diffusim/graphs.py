@@ -6,7 +6,7 @@ so downstream matrix rows are reproducible.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -27,17 +27,45 @@ def _read_only_setstate(obj, state: dict) -> None:
 
 
 @dataclass(frozen=True, eq=False)
+class CayleyGroup:
+    """The abelian group Z_shape[0] x ... x Z_shape[-1] and a generator set S
+    with S = -S, one generator per row of `generators` (int64, read-only).
+
+    A graph records it when it is the Cayley graph of the group: vertex
+    np.ravel_multi_index(x, shape) is adjacent to the vertex of x + s
+    (mod shape) for every s in S, so its degree is len(S)."""
+
+    shape: tuple[int, ...]
+    generators: np.ndarray   # (len(S), len(shape)) int64
+
+    __setstate__ = _read_only_setstate
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, CayleyGroup) and self.shape == other.shape
+                and np.array_equal(self.generators, other.generators))
+
+    @classmethod
+    def of(cls, shape, generators) -> "CayleyGroup":
+        gens = np.array(generators, dtype=np.int64).reshape(-1, len(shape))
+        gens.flags.writeable = False
+        return cls(tuple(shape), gens)
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable simple connected graph in compressed sparse row form.
 
     Vertex v's neighbors are targets[indptr[v]:indptr[v+1]], ascending. Both
     arrays are int64 and read-only, laid out as RoundMatrix's arrays of the
     same names. Derived values (the common degree, the neighbor array) are
-    computed on first use and kept for the life of the graph."""
+    computed on first use and kept for the life of the graph. The cycle,
+    torus, hypercube and complete generators record the abelian group whose
+    Cayley graph they build as `group`; every other graph records None."""
 
     n: int
     indptr: np.ndarray    # (n+1,) int64: v's neighbors are targets[indptr[v]:indptr[v+1]]
     targets: np.ndarray   # (2m,) int64
+    group: CayleyGroup | None = None
 
     __setstate__ = _read_only_setstate
 
@@ -146,7 +174,8 @@ def gen_cycle(n: int) -> Graph:
     if n < 3:
         raise ValidationError(f"cycle needs n >= 3, got {n}")
     i = np.arange(n)
-    return Graph.from_edges(n, np.column_stack((i, (i + 1) % n)))
+    g = Graph.from_edges(n, np.column_stack((i, (i + 1) % n)))
+    return replace(g, group=CayleyGroup.of((n,), [1, n - 1]))
 
 
 def gen_hypercube(dim: int) -> Graph:
@@ -155,7 +184,8 @@ def gen_hypercube(dim: int) -> Graph:
         raise ValidationError(f"hypercube needs dim >= 1, got {dim}")
     i = np.arange(1 << dim)
     j = i[:, None] ^ (1 << np.arange(dim))
-    return Graph.from_edges(i.size, np.column_stack((np.repeat(i, dim), j.ravel())))
+    g = Graph.from_edges(i.size, np.column_stack((np.repeat(i, dim), j.ravel())))
+    return replace(g, group=CayleyGroup.of((2,) * dim, np.eye(dim)))
 
 
 def gen_star(n: int) -> Graph:
@@ -170,7 +200,8 @@ def gen_complete(n: int) -> Graph:
     """Complete graph on n >= 2 vertices."""
     if n < 2:
         raise ValidationError(f"complete graph needs n >= 2, got {n}")
-    return Graph.from_edges(n, np.column_stack(np.triu_indices(n, 1)))
+    g = Graph.from_edges(n, np.column_stack(np.triu_indices(n, 1)))
+    return replace(g, group=CayleyGroup.of((n,), np.arange(1, n)))
 
 
 def gen_torus(a: int, b: int) -> Graph:
@@ -180,7 +211,8 @@ def gen_torus(a: int, b: int) -> Graph:
     v = np.arange(a * b)
     i, j = np.divmod(v, b)
     down, right = (i + 1) % a * b + j, i * b + (j + 1) % b
-    return Graph.from_edges(v.size, np.column_stack((np.tile(v, 2), np.concatenate((down, right)))))
+    g = Graph.from_edges(v.size, np.column_stack((np.tile(v, 2), np.concatenate((down, right)))))
+    return replace(g, group=CayleyGroup.of((a, b), [[1, 0], [a - 1, 0], [0, 1], [0, b - 1]]))
 
 
 def gen_random_regular(n: int, d: int, seed: int) -> Graph:

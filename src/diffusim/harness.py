@@ -22,6 +22,9 @@ CSV_HEADER = "trial,t,disc,max_dev,bound_thm3,bound_thm1_or_2,viol_thm3,viol_dis
 # Trials step in lockstep blocks of max(1, BLOCK_ENTRIES // nnz) trials, so
 # the routing arrays of a block (I_B (x) P) stay cache-resident.
 BLOCK_ENTRIES = 2**14
+# resolve keeps the oracle vector x0 P^t of every recorded t: refused when
+# they would need more than this many bytes.
+ORACLE_BYTES_LIMIT = 2**28
 
 
 @dataclass
@@ -175,10 +178,13 @@ def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
         if T < 0:
             raise ValidationError(f"steps must be >= 0, got {T}")
 
-    if spec.stride > 0:
-        record_ts = sorted(set(range(0, T + 1, spec.stride)) | {0, T})
-    else:
-        record_ts = sorted({0, T})
+    stride = spec.stride or max(T, 1)  # stride 0 records only t=0 and t=T
+    recorded = T // stride + 1 + (T % stride > 0)  # counted, not built: T may be huge
+    if recorded * P.n * 8 > ORACLE_BYTES_LIMIT:
+        raise SizeLimitError(
+            f"{recorded} recorded steps of the n={P.n} oracle need {recorded * P.n * 8} bytes, "
+            f"above the cap of {ORACLE_BYTES_LIMIT}; raise --stride or lower --steps")
+    record_ts = sorted(set(range(0, T + 1, stride)) | {T})
 
     record_set = set(record_ts)
     oracle: dict[int, np.ndarray] = {}
@@ -229,6 +235,18 @@ def _block_rows(res: ResolvedExperiment, first: int, stop: int) -> list[str]:
     bound3, bound12 = _fmt(res.bound3), _fmt(res.bound12)
     rows: list[list[str]] = [[] for _ in range(B)]
     loads = np.tile(res.x0.loads, B)
+    # glibc's malloc serves a request above its mmap threshold (128 KiB at
+    # start) by mmap, and gives the heap top back to the system whenever more
+    # than its trim threshold (also 128 KiB) is free there. A round's
+    # temporaries are tens of KiB, up to BLOCK_ENTRIES doubles, so unless
+    # set-up happened to free a large array first, every round they were
+    # trimmed off the heap top and faulted in again: 190-270 page faults a
+    # round on hypercube:9 with B = 3, at half the stepping speed. Freeing an
+    # mmapped block raises the mmap threshold to its size and the trim
+    # threshold to twice that for the life of the process, so this 4 MiB
+    # block, allocated and freed untouched in every process (--jobs workers
+    # too) before its first round, keeps the rounds' temporaries on the heap.
+    np.empty(1 << 19)
     for t in range(res.T + 1):
         if t:
             loads = step(loads)
@@ -336,6 +354,10 @@ def bounds_report(graph_spec: str, matrix_kind: str) -> list[str]:
 
 def divergence_report(graph_spec: str, matrix_kind: str, p: int,
                       tol: float, t_max: int | None) -> list[str]:
+    if t_max is not None and t_max < 0:
+        raise ValidationError(f"--t-max must be >= 0, got {t_max}")
+    if not tol > 0:  # NaN too
+        raise ValidationError(f"--tol must be > 0, got {tol}")
     g = build_graph(graph_spec) if graph_spec else None
     P = build_matrix(matrix_kind, g)
     rep = analysis.local_p_divergence(P, p=p, tol=tol, t_max=t_max)

@@ -10,7 +10,7 @@ lazy-random-walk instance behave as "stay if the sample lands in [1/2, 1)".
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedMatrixError,
     ValidationError,
 )
-from .graphs import Graph, _read_only_setstate, _symmetric_support_connected
+from .graphs import CayleyGroup, Graph, _read_only_setstate, _symmetric_support_connected
 
 ROW_SUM_TOL = 1e-12       # construction: row sums must be 1 within this
 CLASSIFY_TOL = 1e-12      # symmetric / lazy flags
@@ -50,6 +50,9 @@ class RoundMatrix:
     Entry e lies in row rows[e]; row v holds entries indptr[v]:indptr[v+1]
     in interval order, so memory is O(n + nnz) on any degree profile. The
     arrays are marked read-only so matrices can be shared across trials.
+    `group` is the Cayley group of the graph that lazy_rw_matrix or
+    metropolis_matrix built the matrix from, when that graph records one
+    (see cayley_spectrum); None otherwise.
     """
 
     n: int
@@ -62,6 +65,7 @@ class RoundMatrix:
     symmetric: bool
     lazy: bool
     irreducible: bool
+    group: CayleyGroup | None = None
 
     __setstate__ = _read_only_setstate
 
@@ -213,25 +217,28 @@ def _with_self_loops(rows, targets, probs, self_probs) -> RoundMatrix:
 
 
 def lazy_rw_matrix(g: Graph) -> RoundMatrix:
-    """Lazy random walk on a regular graph: 1/(2d) per edge, 1/2 self."""
+    """Lazy random walk on a regular graph: 1/(2d) per edge, 1/2 self.
+    Carries g's Cayley group, if any."""
     d = g.regular_degree()
     rows = np.repeat(np.arange(g.n), d)
-    return _with_self_loops(rows, g.targets, np.full(rows.size, 1.0 / (2 * d)),
-                            np.full(g.n, 0.5))
+    P = _with_self_loops(rows, g.targets, np.full(rows.size, 1.0 / (2 * d)), np.full(g.n, 0.5))
+    return replace(P, group=g.group)
 
 
 def metropolis_matrix(g: Graph) -> RoundMatrix:
     """Metropolis chain: 1/(2*max(d_v, d_u)) per edge, remainder on the self-loop.
 
     Symmetric and lazy on any connected graph, using only local degree
-    knowledge.
+    knowledge. On a regular graph it is the lazy random walk; it carries g's
+    Cayley group, if any.
     """
     degs = g.degrees()
     rows = np.repeat(np.arange(g.n), degs)
     targets = g.targets
     probs = 1.0 / (2 * np.maximum(degs[rows], degs[targets]))
     # bincount sums each row left to right, the order the self-loop remainder is pinned to
-    return _with_self_loops(rows, targets, probs, 1.0 - np.bincount(rows, probs, minlength=g.n))
+    P = _with_self_loops(rows, targets, probs, 1.0 - np.bincount(rows, probs, minlength=g.n))
+    return replace(P, group=g.group)  # a Cayley graph is regular
 
 
 def custom_matrix(entries: Sequence[tuple[int, int, float]], n: int | None = None) -> RoundMatrix:
@@ -358,20 +365,46 @@ def power_apply(x: np.ndarray, P: RoundMatrix, t: int) -> np.ndarray:
     return y
 
 
+def cayley_spectrum(P: RoundMatrix) -> np.ndarray | None:
+    """P's eigenvalues, flat in the group's character order, when P records
+    a Cayley group (lazy-rw and metropolis chains on cycle, torus, hypercube
+    and complete graphs); None otherwise.
+
+    Such a P is (I + A/d) / 2 for the adjacency matrix A of the Cayley graph
+    of an abelian group G with generator set S, d = |S|. The characters of G
+    are a common eigenbasis of every such A, and A's eigenvalue on a
+    character is its sum over S: the discrete Fourier transform of S's
+    indicator laid out on G's shape, real because S = -S. Entry 0 is the
+    trivial character, the eigenvalue 1.
+    """
+    grp = P.group
+    if grp is None:
+        return None
+    from numpy import fft  # here, not at the top: numpy loads its fft module lazily
+
+    indicator = np.zeros(grp.shape)
+    indicator[tuple(grp.generators.T)] = 1.0
+    return (0.5 + fft.fftn(indicator).real / (2 * len(grp.generators))).ravel()
+
+
 def second_eigenvalue(P: RoundMatrix, dense_limit: int = DENSE_LIMIT) -> float:
     """Second-largest eigenvalue magnitude of a symmetric irreducible chain.
 
-    Uses a dense symmetric eigendecomposition; for lazy symmetric chains all
-    eigenvalues are nonnegative so this equals lambda_2 itself.
+    Read off cayley_spectrum at any n when P records a Cayley group; else a
+    dense symmetric eigendecomposition, refused above dense_limit. For lazy
+    symmetric chains all eigenvalues are nonnegative so this equals
+    lambda_2 itself.
     """
     if not P.symmetric:
         raise UnsupportedMatrixError("second_eigenvalue requires a symmetric matrix")
     if not P.irreducible:
         raise NotIrreducibleError("second_eigenvalue requires an irreducible matrix")
-    if P.n > dense_limit:
-        raise SizeLimitError(f"n={P.n} above dense eigensolver limit {dense_limit}")
-    if P.n == 1:
-        return 0.0
-    eigs = np.linalg.eigvalsh(P.dense())
+    eigs = cayley_spectrum(P)
+    if eigs is None:
+        if P.n > dense_limit:
+            raise SizeLimitError(f"n={P.n} above dense eigensolver limit {dense_limit}")
+        if P.n == 1:
+            return 0.0
+        eigs = np.linalg.eigvalsh(P.dense())
     mags = np.sort(np.abs(eigs))
     return float(mags[-2])

@@ -32,7 +32,9 @@ from diffusim import (
     stationary_distribution,
 )
 from diffusim import analysis
-from diffusim.analysis import PSI_T_MAX_FALLBACK, PSI_TOL_DEFAULT, _divergence_series
+from diffusim.analysis import PSI_T_MAX_FALLBACK, PSI_TOL_DEFAULT, _divergence_series, _spectral_psi2
+from diffusim.harness import build_graph
+from diffusim.matrices import cayley_spectrum, second_eigenvalue
 from diffusim.verify import (
     random_reversible_lazy_chain,
     random_symmetric_lazy_chain,
@@ -345,3 +347,37 @@ def test_bounds_reject_degenerate():
     with pytest.raises(ValidationError):
         bound_theorem2(0, 16)
 
+
+
+@pytest.mark.parametrize("make", [lazy_rw_matrix, metropolis_matrix])
+@pytest.mark.parametrize("spec", ["cycle:3", "cycle:64", "cycle:101", "torus:3:3", "torus:5:7",
+                                  "hypercube:1", "hypercube:4", "hypercube:9",
+                                  "complete:2", "complete:3", "complete:30"])
+def test_cayley_spectrum_matches_the_dense_path(spec, make):
+    P = make(build_graph(spec))
+    lam = cayley_spectrum(P)
+    dense = np.linalg.eigvalsh(P.dense())
+    assert lam[0] == 1.0
+    # every eigenvalue lies in [0, 1], so 1e-13 absolute is 1e-13 of the spectral radius
+    np.testing.assert_allclose(np.sort(lam), dense, rtol=0, atol=1e-13)
+    assert second_eigenvalue(P) == pytest.approx(np.sort(np.abs(dense))[-2], rel=1e-13, abs=1e-16)
+    rep, ref = local_p_divergence(P, p=2), _spectral_psi2(P)
+    assert rep.value == pytest.approx(ref.value, rel=1e-13, abs=0)
+    # every vertex attains the maximum of a vertex-transitive chain; vertex 0 is reported
+    assert (rep.argmax_vertex, rep.t_stop, rep.residual, rep.tail_bound) == (0, 0, 0.0, 0.0)
+
+
+def test_cayley_psi2_needs_no_dense_form():
+    # n = 8192 is above DENSE_LIMIT; the hypercube's spectrum is 1 - k/d with
+    # multiplicity C(d, k), which gives psi2 in closed form
+    d = 13
+    rep = local_p_divergence(lazy_rw_matrix(gen_hypercube(d)), p=2)
+    exact = math.sqrt(4 * d / 2**d * sum(math.comb(d, k) / (2 - k / d) for k in range(1, d + 1)))
+    assert rep.value == pytest.approx(exact, rel=1e-14)
+    assert rep.t_stop == 0
+
+
+def test_chains_without_a_group_keep_the_dense_path():
+    assert cayley_spectrum(metropolis_matrix(gen_star(6))) is None
+    P = metropolis_matrix(gen_star(6))
+    assert local_p_divergence(P, p=2).value == _spectral_psi2(P).value

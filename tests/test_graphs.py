@@ -315,3 +315,26 @@ def test_generator_csr_pinned(name):
         h.update(g.indptr.tobytes())
         h.update(g.targets.tobytes())
     assert h.hexdigest() == GENERATOR_PINS[name]
+
+
+@pytest.mark.parametrize("spec", ["cycle:3", "cycle:10", "torus:3:4", "torus:5:3",
+                                  "hypercube:1", "hypercube:5", "complete:2", "complete:7"])
+def test_generators_record_their_cayley_group(spec):
+    # the recorded group rebuilds the graph: x ~ x + s (mod shape) for s in S
+    g = build_graph(spec)
+    grp = g.group
+    assert not grp.generators.flags.writeable
+    assert g.regular_degree() == len(grp.generators) and g.n == np.prod(grp.shape)
+    x = np.array(np.unravel_index(np.arange(g.n), grp.shape)).T
+    nbrs = np.ravel_multi_index(((x[:, None, :] + grp.generators) % grp.shape).transpose(2, 0, 1),
+                                grp.shape)
+    assert np.array_equal(np.sort(nbrs, axis=1), g.neighbor_array())
+    neg = {tuple(s) for s in np.mod(-grp.generators, grp.shape).tolist()}
+    assert neg == {tuple(s) for s in grp.generators.tolist()}  # S = -S
+
+
+def test_only_group_generators_record_a_group(tmp_path):
+    path = tmp_path / "c.edges"
+    path.write_text(edge_list_text(gen_cycle(8)))
+    for spec in ("star:5", "random-regular:10:3:7", f"file:{path}"):
+        assert build_graph(spec).group is None

@@ -336,11 +336,13 @@ def test_cli_lazy_rw_on_irregular_is_validation_error(capsys):
 
 
 @pytest.mark.parametrize("args", [
-    ["--graph", "cycle:5000", "--steps", "10"],
+    ["--graph", "file:{tmp}/cycle5000.txt", "--steps", "10"],  # a file: graph records no group
     ["--graph", "star:5000", "--matrix", "metropolis", "--steps", "3"],
 ])
 def test_cli_simulate_above_dense_limit(tmp_path, args):
     # only --steps auto needs lambda; the dense cap leaves lambda= and psi2= blank
+    (tmp_path / "cycle5000.txt").write_text(diffusim.graphs.edge_list_text(gen_cycle(5000)))
+    args = [a.format(tmp=tmp_path) for a in args]
     out = tmp_path / "big.csv"
     assert main(["simulate", *args, "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
@@ -348,9 +350,22 @@ def test_cli_simulate_above_dense_limit(tmp_path, args):
     assert lines[-1].startswith(f"0,{args[-1]},")
 
 
-def test_cli_simulate_reports_why_header_quantities_are_blank(tmp_path, capsys):
+def test_cli_simulate_cayley_chain_above_dense_limit(tmp_path, capsys):
+    # cycle:5000 records its group: lambda and psi2 come from its spectrum
     out = tmp_path / "big.csv"
     assert main(["simulate", "--graph", "cycle:5000", "--steps", "10", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    header = next(ln for ln in out.read_text().splitlines() if ln.startswith("# lambda="))
+    fields = dict(f.split("=") for f in header[2:].split())
+    for name in ("lambda", "psi2", "bound_thm3"):
+        assert float(fields[name]) > 0
+    assert fields["lambda"] == f"{0.5 + 0.5 * np.cos(2 * np.pi / 5000):.10g}"
+
+
+def test_cli_simulate_reports_why_header_quantities_are_blank(tmp_path, capsys):
+    out = tmp_path / "big.csv"
+    assert main(["simulate", "--graph", "star:5000", "--matrix", "metropolis", "--steps", "10",
+                 "--out", str(out)]) == 0
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
         "diffusim: lambda unavailable: n=5000 above dense eigensolver limit 4096",
@@ -382,7 +397,7 @@ def test_cli_jobs_below_one_exit_2(tmp_path, capsys, jobs):
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 def test_cli_negative_seed_exit_2(tmp_path, capsys, command):
-    # rejected up front: simulate would otherwise stop at cycle:5000's dense eigensolver limit
+    # rejected up front: simulate would otherwise stop at cycle:5000's oracle-size cap
     args = {"simulate": ["--graph", "cycle:5000", "--out", str(tmp_path / "o.csv")],
             "verify": ["--suite", "prop1"]}[command]
     assert main([command, *args, "--seed", "-1"]) == 2
@@ -408,8 +423,23 @@ def test_cli_negative_seed_in_spec_exit_2(tmp_path, capsys, monkeypatch, command
 
 
 def test_cli_steps_auto_above_dense_limit_exit_2(tmp_path, capsys):
-    assert main(["simulate", "--graph", "cycle:5000", "--out", str(tmp_path / "o.csv")]) == 2
+    assert main(["simulate", "--graph", "star:5000", "--matrix", "metropolis",
+                 "--out", str(tmp_path / "o.csv")]) == 2
     assert "above dense eigensolver limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["--graph", "cycle:5000"],                                   # T_auto = 42583382, stride 1
+    ["--graph", "cycle:8", "--steps", "99999999999999999999"],
+])
+def test_cli_oracle_above_size_cap_exit_2(tmp_path, args):
+    # refused before the record set or the oracle is built, so within seconds
+    proc = subprocess.run([sys.executable, "-m", "diffusim", "simulate", *args,
+                           "--out", str(tmp_path / "o.csv")],
+                          env=_src_env(), capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2
+    assert "above the cap of 268435456; raise --stride" in proc.stderr
+    assert not (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize("graph, loads", [
@@ -460,6 +490,34 @@ def test_cli_simulate_symmetric_chains_loads_no_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[0, 0] []"
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc malloc thresholds")
+def test_block_rounds_do_not_fault_the_heap_in_again():
+    # Without the untouched block _block_rows frees before its first round,
+    # glibc trimmed each round's temporaries off the heap top and faulted
+    # them in again: ~190-270 minor faults a round here. A fresh interpreter
+    # starts with malloc's default thresholds, as a CLI run does.
+    script = (
+        "import resource\n"
+        "from diffusim import harness\n"
+        "res = harness.resolve(harness.ExperimentSpec(graph='hypercube:9', "
+        "loads='random:32768:912', steps='200', trials=3))\n"
+        "faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "harness._block_rows(res, 0, 3)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=_src_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 5 * 200
+
+
+def test_cli_bounds_cayley_chain_above_dense_limit(capsys):
+    assert main(["bounds", "--graph", "hypercube:13"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "lambda=0.9230769231" in out
+    assert "psi2_computed=5.913314523" in out and "psi2_t_stop=0" in out
+    assert "bound_thm3=71.00278394" in out
+
+
 def test_cli_usage_error_exit_1(capsys):
     assert main(["simulate", "--graph", "cycle:4"]) == 1  # --out missing
     assert main(["frobnicate"]) == 1
@@ -470,6 +528,17 @@ def test_cli_divergence(capsys):
     out = capsys.readouterr().out
     val = [ln for ln in out.splitlines() if ln.startswith("value=")]
     assert float(val[0].split("=")[1]) == pytest.approx(np.sqrt(2), abs=1e-9)
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--t-max", "-1", "--t-max must be >= 0, got -1"),
+    ("--tol", "0", "--tol must be > 0, got 0.0"),
+    ("--tol", "-1", "--tol must be > 0, got -1.0"),
+    ("--tol", "nan", "--tol must be > 0, got nan"),
+])
+def test_cli_divergence_rejects_bad_flags(capsys, flag, value, message):
+    assert main(["divergence", "--graph", "cycle:8", "--p", "1", flag, value]) == 2
+    assert capsys.readouterr().err == f"diffusim: error: {message}\n"
 
 
 def test_cli_divergence_reducible_matrix(tmp_path, capsys):

@@ -395,9 +395,19 @@ def test_second_eigenvalue_rejects_reducible():
         second_eigenvalue(P)
 
 
-def test_second_eigenvalue_size_limit(lazy_triangle):
+def test_second_eigenvalue_size_limit():
+    # the dense path's cap: a triangle built from its edges records no group
+    P = lazy_rw_matrix(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]))
+    assert P.group is None
     with pytest.raises(SizeLimitError):
-        second_eigenvalue(lazy_triangle, dense_limit=2)
+        second_eigenvalue(P, dense_limit=2)
+
+
+def test_second_eigenvalue_of_a_cayley_chain_has_no_size_limit(lazy_triangle):
+    assert lazy_triangle.group is not None
+    assert second_eigenvalue(lazy_triangle, dense_limit=2) == pytest.approx(0.25, abs=1e-15)
+    P = lazy_rw_matrix(gen_hypercube(13))   # n = 8192, above DENSE_LIMIT
+    assert second_eigenvalue(P) == 1 - 1 / 13
 
 
 def test_uniform_pi_for_symmetric_irreducible():
@@ -552,7 +562,7 @@ def test_pickle_round_trip_keeps_arrays_read_only():
     g.neighbor_array()    # cached in the instance, so pickled with it
     assert "_neighbor_array" in vars(g)
     P = metropolis_matrix(random_connected_graph(9, np.random.default_rng(4)))
-    for obj in (g, P, random_config(9, 50, 2)):
+    for obj in (g, P, random_config(9, 50, 2), lazy_rw_matrix(g).group):
         back = pickle.loads(pickle.dumps(obj))
         arrays = {k: v for k, v in vars(obj).items() if isinstance(v, np.ndarray)}
         assert set(arrays) == {k for k, v in vars(back).items() if isinstance(v, np.ndarray)}
@@ -561,3 +571,13 @@ def test_pickle_round_trip_keeps_arrays_read_only():
             assert np.array_equal(vars(back)[name], arr), name
         assert {k: v for k, v in vars(back).items() if k not in arrays} == \
             {k: v for k, v in vars(obj).items() if k not in arrays}
+
+
+def test_chains_carry_the_graph_group():
+    g = gen_cycle(12)
+    for make in (lazy_rw_matrix, metropolis_matrix):
+        assert make(g).group is g.group
+    assert metropolis_matrix(gen_star(6)).group is None
+    for P in (lazy_rw_matrix(g), metropolis_matrix(gen_hypercube(3))):
+        back = pickle.loads(pickle.dumps(P))
+        assert back.group == P.group and not back.group.generators.flags.writeable
