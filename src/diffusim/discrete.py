@@ -179,59 +179,58 @@ def deterministic_token_mask(P: RoundMatrix, v: int, x_v: int) -> np.ndarray:
     return mask
 
 
-def _draws(rngs, v: np.ndarray, n: int) -> np.ndarray:
-    """One uniform per entry of v, a flat vertex index. The entries of trial
-    b = v // n draw from rngs[b] in one call, and trials come in order."""
+def _draws(rngs, idx: np.ndarray, size: int) -> np.ndarray:
+    """One uniform per entry of idx, a sorted flat index in which trial b owns
+    b*size..b*size+size-1: trial b's slice of one buffer, in one rngs[b] call."""
     if len(rngs) == 1:
-        return rngs[0].random(v.size)
-    counts = np.bincount(v // n, minlength=len(rngs)).tolist()
-    return np.concatenate([rng.random(c) for rng, c in zip(rngs, counts)])
+        return rngs[0].random(idx.size)
+    u, bounds = np.empty(idx.size), idx.searchsorted(size * np.arange(len(rngs) + 1)).tolist()
+    for rng, a, b in zip(rngs, bounds, bounds[1:]):
+        rng.random(out=u[a:b])
+    return u
 
 
-def _token_intervals(P, loads: np.ndarray):
-    """(lo, hi): the row interval of every matrix entry, scaled by its row's
-    load into token units, the same products as row.prefix * x_v."""
-    hi = P.ends * loads[P.rows].astype(np.float64)
-    lo = np.empty_like(hi)
-    lo[1:] = hi[:-1]
-    lo[P.indptr[:-1]] = 0.0
-    return lo, hi
+def _route(loads: np.ndarray, P, rngs):
+    """step_batch's routing of one round: (interior, k, u, e).
 
-
-def _route(loads: np.ndarray, P, rngs, n: int):
-    """step_batch's routing of one round: (interior, v, k, u, e).
-
-    interior[i] counts the tokens whose window [k, k+1) lies inside the
-    interval of matrix entry i. Boundary token k of vertex v drew u and goes
-    to entry e. Boundary tokens are in row-major order, by vertex and then
-    token. P is a RoundMatrix, or B copies of one tiled by _tile with loads
-    of length B*n; trial b's uniforms come from one rngs[b].random call.
+    Entry i's interval [starts[i], ends[i]), times its row's load, is [lo, hi)
+    in token units; interior[i] counts the windows [k, k+1) inside it. Boundary
+    token k of vertex P.rows[e] drew u and goes to entry e, in row-major order.
+    P is a RoundMatrix, or B copies tiled by _tile with B*n loads; the uniforms
+    fill one buffer, trial b's slice in one rngs[b].random call. Raw interior
+    floor(hi) - ceil(lo) < 0 <=> two cuts in one window (the interval's ends):
+    only then does a token straddle several cuts and the cuts get grouped.
     """
-    lo, hi = _token_intervals(P, loads)
+    x = loads.astype(np.float64)[P.rows]
+    hi = P.ends * x
     flo = np.floor(hi)
-    interior = flo - np.ceil(lo)
+    interior = flo - np.ceil(P.starts * x)
+    straddle = np.minimum.reduce(interior) < 0.0
     np.maximum(interior, 0.0, out=interior)
     e = (hi != flo).nonzero()[0]  # cuts inside a window; a row's last end x_v is whole
-    v = P.rows[e]
-    k = flo[e]
-    cut = hi[e] - k                # the cut's offset in token k's window
-    shared = (v[1:] == v[:-1]) & (k[1:] == k[:-1])  # the next cut splits the same token
-    if not np.logical_or.reduce(shared):
-        u = _draws(rngs, v, n)
-        return interior, v, k, u, e + (u >= cut)
+    cut = hi[e]
+    k = np.floor(cut)
+    cut -= k                       # the cut's offset in token k's window
+    size = P.rows.size // len(rngs)
+    if not straddle:
+        u = _draws(rngs, e, size)
+        return interior, k, u, e + (u >= cut)
     # a token straddling several cuts draws once and goes left of the first
     # cut above u, or right of its last cut
-    start = np.concatenate(([True], ~shared))
+    v = P.rows[e]
+    start = np.concatenate(([True], (v[1:] != v[:-1]) | (k[1:] != k[:-1])))
     first = start.nonzero()[0]
-    u = _draws(rngs, v[first], n)
+    u = _draws(rngs, e[first], size)
     below = cut <= u[start.cumsum() - 1]
-    return interior, v[first], k[first], u, e[first] + np.add.reduceat(below, first)
+    return interior, k[first], u, e[first] + np.add.reduceat(below, first)
 
 
 def _scatter(targets: np.ndarray, interior: np.ndarray, dest: np.ndarray, size: int) -> np.ndarray:
-    """New loads: each entry's interior tokens plus the boundary tokens at dest."""
+    """New loads: each entry's interior tokens plus the boundary tokens at dest
+    (float sums of whole numbers up to MAX_TOTAL, so exact)."""
     new = np.bincount(targets, weights=interior, minlength=size)
-    return np.rint(new).astype(np.int64) + np.bincount(dest, minlength=size)
+    new += np.bincount(dest, minlength=size)
+    return new.astype(np.int64)
 
 
 def _tile(P: RoundMatrix, B: int):
@@ -247,6 +246,7 @@ def _tile(P: RoundMatrix, B: int):
         indptr=np.append((P.indptr[:-1] + shift * P.ends.size).ravel(), B * P.ends.size),
         rows=(P.rows + shift * P.n).ravel(),
         targets=(P.targets + shift * P.n).ravel(),
+        starts=np.tile(P.starts, B),
         ends=np.tile(P.ends, B),
     )
 
@@ -289,12 +289,12 @@ def step_batch(x: LoadConfig, P: RoundMatrix, rng, trace: bool = False):
     if x.n != P.n:
         raise ValidationError(f"config has {x.n} vertices, matrix has {P.n}")
     loads = x.loads
-    interior, v, k, u, e = _route(loads, P, (rng,), P.n)
+    interior, k, u, e = _route(loads, P, (rng,))
     dest = P.targets[e]
     cfg = _conserved(_scatter(P.targets, interior, dest, P.n), x.total)
     if not trace:
         return cfg
-    at = (loads.cumsum() - loads)[v] + k.astype(np.int64)  # flat position of each draw
+    at = (loads.cumsum() - loads)[P.rows[e]] + k.astype(np.int64)  # flat position of each draw
     sampled = np.zeros(x.total, dtype=bool)
     sampled[at] = True
     dests = np.empty(x.total, dtype=np.int64)
@@ -358,7 +358,7 @@ def _batch_block(P: RoundMatrix, g, rngs):
     M, rngs = _tile(P, len(rngs)), tuple(rngs)
 
     def step(loads: np.ndarray) -> np.ndarray:
-        interior, _, _, _, e = _route(loads, M, rngs, P.n)
+        interior, _, _, e = _route(loads, M, rngs)
         return _scatter(M.targets, interior, M.targets[e], loads.size)
 
     return step

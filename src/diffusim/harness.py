@@ -251,15 +251,14 @@ def _block_rows(res: ResolvedExperiment, first: int, stop: int) -> list[str]:
         if t:
             loads = step(loads)
         X = loads.reshape(B, n)
-        sums, mins = X.sum(axis=1), X.min(axis=1)
-        bad = np.flatnonzero((sums != total) | (mins < 0))
-        if bad.size:
-            b = int(bad[0])
+        sums = np.add.reduce(X, axis=1)
+        if np.minimum.reduce(loads) < 0 or np.logical_or.reduce(sums != total):
+            b = int(np.flatnonzero((sums != total) | (X.min(axis=1) < 0))[0])
             raise ValidationError(f"trial {first + b}, step {t}: total {int(sums[b])} "
-                                  f"(expected {total}), least load {int(mins[b])}")
+                                  f"(expected {total}), least load {int(X[b].min())}")
         if t not in record_set:
             continue
-        discs = (X.max(axis=1) - mins).tolist()
+        discs = (X.max(axis=1) - X.min(axis=1)).tolist()
         devs = np.abs(X - res.oracle[t]).max(axis=1).tolist()
         for b, (disc, dev) in enumerate(zip(discs, devs)):
             viol3 = "" if res.bound3 is None else str(int(dev > res.bound3))
@@ -305,6 +304,11 @@ def write_csv(path: str | Path, header: list[str], rows: list[str]) -> None:
 
 def simulate_to_csv(spec: ExperimentSpec, out: str | Path,
                     unavailable: dict[str, str] | None = None) -> int:
+    """Run spec and write its CSV to out; a missing output directory is
+    refused before any set-up or round."""
+    directory = Path(out).parent
+    if not directory.is_dir():
+        raise ValidationError(f"output directory {str(directory)!r} does not exist")
     header, rows = run_experiment(spec, unavailable)
     write_csv(out, header, rows)
     return len(rows)

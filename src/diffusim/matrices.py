@@ -11,6 +11,7 @@ lazy-random-walk instance behave as "stay if the sample lands in [1/2, 1)".
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -105,7 +106,14 @@ class RoundMatrix:
         keep = probs > 0
         # one key per (v, u) in interval order: neighbors ascending, self last
         key = rows[keep] * (n + 1) + np.where(targets[keep] == rows[keep], n, targets[keep])
-        key, entry = np.unique(key, return_inverse=True)
+        # a stable sort (timsort) takes the builders' keys, which come in two
+        # sorted runs, in one merge; np.unique would quicksort them
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.concatenate(([True], key[1:] != key[:-1]))
+        entry = np.empty_like(order)
+        entry[order] = first.cumsum() - 1
+        key = key[first]
         probs = np.bincount(entry, weights=probs[keep])  # duplicates summed in input order
         rows, col = np.divmod(key, n + 1)
         targets = np.where(col == n, rows, col)
@@ -132,6 +140,29 @@ class RoundMatrix:
             lazy=bool(np.all(diag >= 0.5 - CLASSIFY_TOL)),
             irreducible=irreducible,
         )
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """(nnz,) float64, read-only: interval starts, the previous entry's
+        end and 0.0 at a row's first entry. Computed once per matrix."""
+        out = np.empty_like(self.ends)
+        out[1:] = self.ends[:-1]
+        out[self.indptr[:-1]] = 0.0
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def _cayley_spectrum(self) -> np.ndarray | None:
+        grp = self.group
+        if grp is None:
+            return None
+        from numpy import fft  # here, not at the top: numpy loads its fft module lazily
+
+        indicator = np.zeros(grp.shape)
+        indicator[tuple(grp.generators.T)] = 1.0
+        eigs = (0.5 + fft.fftn(indicator).real / (2 * len(grp.generators))).ravel()
+        eigs.flags.writeable = False
+        return eigs
 
     def row(self, v: int) -> RowView:
         s = slice(self.indptr[v], self.indptr[v + 1])
@@ -375,16 +406,10 @@ def cayley_spectrum(P: RoundMatrix) -> np.ndarray | None:
     are a common eigenbasis of every such A, and A's eigenvalue on a
     character is its sum over S: the discrete Fourier transform of S's
     indicator laid out on G's shape, real because S = -S. Entry 0 is the
-    trivial character, the eigenvalue 1.
+    trivial character, the eigenvalue 1. Computed once per matrix: every
+    call returns the same read-only array.
     """
-    grp = P.group
-    if grp is None:
-        return None
-    from numpy import fft  # here, not at the top: numpy loads its fft module lazily
-
-    indicator = np.zeros(grp.shape)
-    indicator[tuple(grp.generators.T)] = 1.0
-    return (0.5 + fft.fftn(indicator).real / (2 * len(grp.generators))).ravel()
+    return P._cayley_spectrum
 
 
 def second_eigenvalue(P: RoundMatrix, dense_limit: int = DENSE_LIMIT) -> float:

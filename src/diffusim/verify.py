@@ -164,8 +164,8 @@ def check_step_trace(P: matrices.RoundMatrix, trace: discrete.StepTrace) -> list
     deg = P.indptr[v + 1] - first
     tok = np.repeat(np.arange(v.size), deg)
     e = np.arange(tok.size) - np.repeat(np.cumsum(deg) - deg - first, deg)
-    lo, hi = discrete._token_intervals(P, loads)
-    p = discrete._overlap(k.astype(np.float64)[tok], lo[e], hi[e])
+    load = loads[P.rows]  # scales each entry's interval into token units
+    p = discrete._overlap(k.astype(np.float64)[tok], (P.starts * load)[e], (P.ends * load)[e])
     hit = dest[tok] == P.targets[e]   # a row's targets are distinct: at most one per token
     gap = np.abs(hit - p)
     missed = np.bincount(tok[hit], minlength=v.size) == 0
@@ -208,8 +208,8 @@ def _first_flagged(P: matrices.RoundMatrix, traces: list) -> tuple[int, str] | N
     if not traces:
         return None
     tiled = discrete._tile(P, len(traces))
-    side_by_side = SimpleNamespace(indptr=tiled.indptr, rows=tiled.rows, ends=tiled.ends,
-                                   targets=np.tile(P.targets, len(traces)))
+    side_by_side = SimpleNamespace(indptr=tiled.indptr, rows=tiled.rows, starts=tiled.starts,
+                                   ends=tiled.ends, targets=np.tile(P.targets, len(traces)))
     merged = discrete.StepTrace(*(np.concatenate([getattr(tr, a) for tr in traces])
                                   for a in ("loads_before", "counts", "destinations")), None, None)
     flagged = check_step_trace(side_by_side, merged)

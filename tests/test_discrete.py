@@ -10,6 +10,7 @@ from scipy.stats import chi2_contingency
 
 from diffusim import (
     LoadConfig,
+    RoundMatrix,
     ValidationError,
     config_from_preset,
     destination_distribution,
@@ -33,6 +34,9 @@ from diffusim.discrete import (
     ALGORITHMS,
     MAX_TOTAL,
     SAMPLERS,
+    _route,
+    _scatter,
+    _tile,
     _token_dests,
     _tokens,
     loads_text,
@@ -445,6 +449,88 @@ def test_batch_stream_pinned_without_shared_cuts():
         cfg = step_batch(cfg, P, rng)
     digest = hashlib.sha256(cfg.loads.tobytes()).hexdigest()
     assert digest == "67dfe3b706967c346adc65f144d9d3e6e605165c567449c4271aec0a8c74f0a2"
+
+
+def _reference_route(loads, P, rngs, n):
+    """The round's routing by the direct formula, kept as the reference:
+    shifted interval ends, pairwise (vertex, token) comparisons of the cuts,
+    and each trial's uniforms drawn apart and concatenated. Returns
+    (interior, v, k, u, e)."""
+    hi = P.ends * loads[P.rows].astype(np.float64)
+    lo = np.empty_like(hi)
+    lo[1:] = hi[:-1]
+    lo[P.indptr[:-1]] = 0.0
+    flo = np.floor(hi)
+    interior = np.maximum(flo - np.ceil(lo), 0.0)
+    e = np.flatnonzero(hi != flo)
+    v, k = P.rows[e], flo[e]
+    cut = hi[e] - k
+    shared = (v[1:] == v[:-1]) & (k[1:] == k[:-1])
+
+    def draws(w):
+        counts = np.bincount(w // n, minlength=len(rngs)).tolist()
+        return np.concatenate([rng.random(c) for rng, c in zip(rngs, counts)])
+
+    if not shared.any():
+        u = draws(v)
+        return interior, v, k, u, e + (u >= cut)
+    start = np.concatenate(([True], ~shared))
+    first = np.flatnonzero(start)
+    u = draws(v[first])
+    below = cut <= u[np.cumsum(start) - 1]
+    return interior, v[first], k[first], u, e[first] + np.add.reduceat(below, first)
+
+
+def _reference_scatter(targets, interior, dest, size):
+    new = np.bincount(targets, weights=interior, minlength=size)
+    return np.rint(new).astype(np.int64) + np.bincount(dest, minlength=size)
+
+
+def _edge_case_matrix(n, rng):
+    """A random RoundMatrix whose rows mix ordinary, tiny and repeated
+    probabilities: a tiny entry leaves two interval ends equal, or nearly,
+    so windows often hold several cuts."""
+    rows, targets, probs = [], [], []
+    for v in range(n):
+        d = int(rng.integers(1, 7))
+        p = rng.choice([0.5, 0.25, 1 / 3, 1e-17, 1e-9, 1e-3], size=d) * rng.choice([1.0, 1.0, 0.7], size=d)
+        rows += [v] * d
+        targets += rng.integers(0, n, size=d).tolist()  # repeats are summed
+        probs += (p / p.sum()).tolist()
+    return RoundMatrix.from_entries(n, rows, targets, probs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), B=st.sampled_from([1, 3]))
+def test_route_and_scatter_match_the_reference_formula(seed, B):
+    # the same uniforms, destination entries and new loads as the direct
+    # formula, trial by trial, on loads of 0, 1 and more
+    rng = np.random.default_rng(seed)
+    P = _edge_case_matrix(int(rng.integers(1, 9)), rng)
+    loads = rng.choice([0, 1, 2, 3, 7, 40, 1000], size=B * P.n)
+    M = _tile(P, B)
+    mine = [np.random.default_rng([seed, b]) for b in range(B)]
+    ref = [np.random.default_rng([seed, b]) for b in range(B)]
+    interior, k, u, e = _route(loads, M, mine)
+    r_interior, r_v, r_k, r_u, r_e = _reference_route(loads, M, ref, P.n)
+    for got, want in ((interior, r_interior), (M.rows[e], r_v), (k, r_k), (u, r_u), (e, r_e)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(_scatter(M.targets, interior, M.targets[e], loads.size),
+                          _reference_scatter(M.targets, r_interior, M.targets[r_e], loads.size))
+    assert [g.random() for g in mine] == [g.random() for g in ref]
+
+
+def test_edge_case_matrices_reach_the_straddle_branch():
+    # the edge-case rows do reach the grouping branch: some window holds
+    # more cuts than there are boundary tokens in it
+    grouped = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        P = _edge_case_matrix(6, rng)
+        loads = rng.choice([0, 1, 2, 3, 7, 40], size=P.n)
+        cuts = np.count_nonzero(np.floor(P.ends * loads[P.rows]) != P.ends * loads[P.rows])
+        grouped += _route(loads, P, (rng,))[1].size < cuts
+    assert grouped > 5
 
 
 def test_independence_of_token_destinations():

@@ -14,6 +14,7 @@ from diffusim.cli import _build_parser, main
 from diffusim.harness import (
     CSV_HEADER,
     ExperimentSpec,
+    bounds_report,
     build_graph,
     build_loads,
     build_matrix,
@@ -208,10 +209,9 @@ def test_lockstep_multi_straddle_happens():
     # all 40 tokens sit on the centre, so its row holds every cut of round 1;
     # fewer boundary tokens than cuts means some token straddles several
     P = build_matrix("metropolis", build_graph("star:50"))
-    _, v, _, _, _ = discrete._route(build_loads("point:40", 50).loads, P,
-                                    (np.random.default_rng(0),), P.n)
+    _, _, u, _ = discrete._route(build_loads("point:40", 50).loads, P, (np.random.default_rng(0),))
     cuts = np.flatnonzero(P.ends[P.indptr[0]:P.indptr[1]] * 40 % 1)
-    assert 0 < v.size < cuts.size
+    assert 0 < u.size < cuts.size
 
 
 def test_lockstep_jobs_over_blocks_same_bytes():
@@ -245,6 +245,30 @@ def test_lockstep_names_the_trial_that_lost_a_token(monkeypatch):
     with pytest.raises(ValidationError, match=r"^trial 3, step 1: total 159 \(expected 160\)"):
         run_experiment(spec)
     assert blocks == [2, 2]
+
+
+def test_lockstep_names_the_trial_that_went_negative(monkeypatch):
+    # the total is kept, so only the round's least-load check can catch it
+    real = discrete.ALGORITHMS["alg2-batch"]
+
+    def negative(P, g, rngs):  # at step 2, trial 1 moves a token off an empty vertex
+        step, rounds = real(P, g, rngs), []
+
+        def negative_step(loads):
+            new = step(loads)
+            rounds.append(None)
+            if len(rounds) == 2:
+                v = P.n + int(np.argmin(new[P.n:2 * P.n]))
+                new[v] -= 1
+                new[v + 1 if v + 1 < 2 * P.n else v - 1] += 1
+            return new
+
+        return negative_step
+
+    monkeypatch.setitem(discrete.ALGORITHMS, "alg2-batch", negative)
+    spec = ExperimentSpec(graph="cycle:16", loads="point:16", steps="5", trials=3, seed=1)
+    with pytest.raises(ValidationError, match=r"^trial 1, step 2: total 16 \(expected 16\), least load -1$"):
+        run_experiment(spec)
 
 
 def test_trial_rng_is_stable():
@@ -440,6 +464,31 @@ def test_cli_oracle_above_size_cap_exit_2(tmp_path, args):
     assert proc.returncode == 2
     assert "above the cap of 268435456; raise --stride" in proc.stderr
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--graph", "cycle:64", "--trials", "50"],
+    ["--graph", "cycle:8", "--steps", "99999999999999999999", "--stride", "0"],  # never ends
+])
+def test_cli_out_in_missing_directory_exit_2(tmp_path, args):
+    # refused before resolve and before any round, so within seconds
+    out = tmp_path / "missing" / "o.csv"
+    proc = subprocess.run([sys.executable, "-m", "diffusim", "simulate", *args, "--out", str(out)],
+                          env=_src_env(), capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2
+    assert f"output directory {str(out.parent)!r} does not exist" in proc.stderr
+    assert not out.parent.exists()
+
+
+def test_cayley_spectrum_computed_once(monkeypatch):
+    # lambda and psi2 both read it; resolve and bounds_report compute it once
+    calls = []
+    fftn = np.fft.fftn
+    monkeypatch.setattr(np.fft, "fftn", lambda a: calls.append(a.shape) or fftn(a))
+    res = resolve(ExperimentSpec(graph="hypercube:6", loads="point:640", steps="3"))
+    assert res.lam is not None and res.psi2 is not None and calls == [(2,) * 6]
+    assert f"psi2_computed={res.psi2:.10g}" in bounds_report("hypercube:6", "lazy-rw")
+    assert calls == [(2,) * 6] * 2
 
 
 @pytest.mark.parametrize("graph, loads", [
