@@ -22,8 +22,8 @@ CSV_HEADER = "trial,t,disc,max_dev,bound_thm3,bound_thm1_or_2,viol_thm3,viol_dis
 # Trials step in lockstep blocks of max(1, BLOCK_ENTRIES // nnz) trials, so
 # the routing arrays of a block (I_B (x) P) stay cache-resident.
 BLOCK_ENTRIES = 2**14
-# resolve keeps the oracle vector x0 P^t of every recorded t: refused when
-# they would need more than this many bytes.
+# resolve holds the oracle x0 P^t as one float64 row per recorded t: refused
+# when those rows would need more than this many bytes.
 ORACLE_BYTES_LIMIT = 2**28
 
 
@@ -125,8 +125,8 @@ class ResolvedExperiment:
     matrix: matrices.RoundMatrix
     x0: discrete.LoadConfig
     T: int
-    record_ts: list[int]
-    oracle: dict[int, np.ndarray]
+    stride: int                   # resolved: t is recorded when t % stride == 0 or t == T
+    oracle: np.ndarray            # read-only; row -(-t // stride) is x0 P^t
     lam: float | None
     psi2: float | None
     bound3: float | None
@@ -179,22 +179,18 @@ def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
             raise ValidationError(f"steps must be >= 0, got {T}")
 
     stride = spec.stride or max(T, 1)  # stride 0 records only t=0 and t=T
-    recorded = T // stride + 1 + (T % stride > 0)  # counted, not built: T may be huge
+    recorded = -(-T // stride) + 1
     if recorded * P.n * 8 > ORACLE_BYTES_LIMIT:
         raise SizeLimitError(
             f"{recorded} recorded steps of the n={P.n} oracle need {recorded * P.n * 8} bytes, "
             f"above the cap of {ORACLE_BYTES_LIMIT}; raise --stride or lower --steps")
-    record_ts = sorted(set(range(0, T + 1, stride)) | {T})
-
-    record_set = set(record_ts)
-    oracle: dict[int, np.ndarray] = {}
-    chi = x0.loads.astype(np.float64)
-    if 0 in record_set:
-        oracle[0] = chi
+    oracle = np.empty((recorded, P.n))
+    oracle[0] = chi = x0.loads.astype(np.float64)
     for t in range(1, T + 1):
         chi = matrices.power_apply(chi, P, 1)
-        if t in record_set:
-            oracle[t] = chi
+        if t % stride == 0 or t == T:
+            oracle[-(-t // stride)] = chi
+    oracle.flags.writeable = False
 
     psi2 = None
     bound3 = None
@@ -216,7 +212,7 @@ def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
             bound12_name = "thm2"
 
     return ResolvedExperiment(
-        spec=spec, graph=g, matrix=P, x0=x0, T=T, record_ts=record_ts,
+        spec=spec, graph=g, matrix=P, x0=x0, T=T, stride=stride,
         oracle=oracle, lam=lam, psi2=psi2, bound3=bound3,
         bound12=bound12, bound12_name=bound12_name, unavailable=unavailable,
     )
@@ -231,7 +227,6 @@ def _block_rows(res: ResolvedExperiment, first: int, stop: int) -> list[str]:
     B, n, total = stop - first, res.matrix.n, res.x0.total
     rngs = [trial_rng(res.spec.seed, trial) for trial in range(first, stop)]
     step = discrete.ALGORITHMS[res.spec.algorithm](res.matrix, res.graph, rngs)
-    record_set = set(res.record_ts)
     bound3, bound12 = _fmt(res.bound3), _fmt(res.bound12)
     rows: list[list[str]] = [[] for _ in range(B)]
     loads = np.tile(res.x0.loads, B)
@@ -256,10 +251,10 @@ def _block_rows(res: ResolvedExperiment, first: int, stop: int) -> list[str]:
             b = int(np.flatnonzero((sums != total) | (X.min(axis=1) < 0))[0])
             raise ValidationError(f"trial {first + b}, step {t}: total {int(sums[b])} "
                                   f"(expected {total}), least load {int(X[b].min())}")
-        if t not in record_set:
+        if t % res.stride and t != res.T:
             continue
         discs = (X.max(axis=1) - X.min(axis=1)).tolist()
-        devs = np.abs(X - res.oracle[t]).max(axis=1).tolist()
+        devs = np.abs(X - res.oracle[-(-t // res.stride)]).max(axis=1).tolist()
         for b, (disc, dev) in enumerate(zip(discs, devs)):
             viol3 = "" if res.bound3 is None else str(int(dev > res.bound3))
             viol_disc = "" if res.bound12 is None else str(int(disc > res.bound12))

@@ -78,9 +78,10 @@ class RoundMatrix:
         row sums away from 1 (beyond 1e-12) are rejected with the offending
         row named. Zero entries are dropped, duplicate (v, u) entries are
         summed in input order, and each row is sorted into interval order.
-        Interval ends are summed left to right within each row, and a row's
-        last end is pinned to exactly 1.0 (a shift within the row-sum
-        tolerance) so interval arithmetic has an exact top end.
+        Interval ends are summed left to right within each row and clamped
+        at 1.0, and a row's last end is pinned to exactly 1.0 (a shift within
+        the row-sum tolerance) so interval arithmetic has an exact top end:
+        no end passes it, even when the last entry is below the slack.
         """
         if n < 1:
             raise ValidationError("matrix needs at least one row")
@@ -119,7 +120,7 @@ class RoundMatrix:
         targets = np.where(col == n, rows, col)
         indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
         last = indptr[1:] - 1
-        ends = _running_sums(indptr, probs)
+        ends = np.minimum(_running_sums(indptr, probs), 1.0)
         ends[last] = 1.0
         transpose = _transpose_index(key, targets * (n + 1) + np.where(col == n, n, rows))
         arrays = (indptr, rows, targets, probs, ends, transpose)
@@ -412,11 +413,11 @@ def cayley_spectrum(P: RoundMatrix) -> np.ndarray | None:
     return P._cayley_spectrum
 
 
-def second_eigenvalue(P: RoundMatrix, dense_limit: int = DENSE_LIMIT) -> float:
+def second_eigenvalue(P: RoundMatrix) -> float:
     """Second-largest eigenvalue magnitude of a symmetric irreducible chain.
 
     Read off cayley_spectrum at any n when P records a Cayley group; else a
-    dense symmetric eigendecomposition, refused above dense_limit. For lazy
+    dense symmetric eigendecomposition, refused above DENSE_LIMIT. For lazy
     symmetric chains all eigenvalues are nonnegative so this equals
     lambda_2 itself.
     """
@@ -426,8 +427,8 @@ def second_eigenvalue(P: RoundMatrix, dense_limit: int = DENSE_LIMIT) -> float:
         raise NotIrreducibleError("second_eigenvalue requires an irreducible matrix")
     eigs = cayley_spectrum(P)
     if eigs is None:
-        if P.n > dense_limit:
-            raise SizeLimitError(f"n={P.n} above dense eigensolver limit {dense_limit}")
+        if P.n > DENSE_LIMIT:
+            raise SizeLimitError(f"n={P.n} above dense eigensolver limit {DENSE_LIMIT}")
         if P.n == 1:
             return 0.0
         eigs = np.linalg.eigvalsh(P.dense())

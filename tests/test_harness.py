@@ -4,12 +4,16 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diffusim
-from diffusim import ValidationError, convergence_time, discrete, harness, lazy_rw_matrix, gen_cycle
+from diffusim import (SizeLimitError, ValidationError, convergence_time, discrete, harness,
+                      lazy_rw_matrix, gen_cycle, power_apply)
 from diffusim.cli import _build_parser, main
 from diffusim.harness import (
     CSV_HEADER,
@@ -72,7 +76,8 @@ def test_resolve_steps_auto():
     res = resolve(spec)
     P = lazy_rw_matrix(gen_cycle(16))
     assert res.T == convergence_time(P, 100, 1.0)
-    assert res.record_ts[0] == 0 and res.record_ts[-1] == res.T
+    assert res.oracle.shape == (res.T + 1, 16) and res.oracle.dtype == np.float64
+    assert not res.oracle.flags.writeable
 
 
 def test_resolve_steps_auto_zero_discrepancy():
@@ -147,24 +152,47 @@ def test_jobs_do_not_change_bytes(monkeypatch):
 
 def _reference_rows(spec: ExperimentSpec) -> list[str]:
     """CSV rows from a plain loop that steps one trial at a time, with the
-    registry's block stepper at B = 1."""
+    registry's block stepper at B = 1, against an oracle stepped here: the
+    recorded steps are 0, stride, 2 stride, ... and T."""
     res = resolve(spec)
+    stride = spec.stride or max(res.T, 1)
     fmt = lambda x: "" if x is None else f"{x:.10g}"  # noqa: E731
     rows = []
     for trial in range(spec.trials):
         step = discrete.ALGORITHMS[spec.algorithm](res.matrix, res.graph, [trial_rng(spec.seed, trial)])
         loads = res.x0.loads
+        chi = loads.astype(np.float64)
         for t in range(res.T + 1):
             if t:
                 loads = step(loads)
-            if t in res.record_ts:
+                chi = power_apply(chi, res.matrix, 1)
+            if t % stride == 0 or t == res.T:
                 disc = int(loads.max() - loads.min())
-                dev = float(np.abs(loads - res.oracle[t]).max())
+                dev = float(np.abs(loads - chi).max())
                 viol3 = "" if res.bound3 is None else str(int(dev > res.bound3))
                 viol_disc = "" if res.bound12 is None else str(int(disc > res.bound12))
                 rows.append(f"{trial},{t},{disc},{dev:.10g},{fmt(res.bound3)},"
                             f"{fmt(res.bound12)},{viol3},{viol_disc}")
     return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(T=st.integers(0, 40), stride=st.integers(0, 12), trials=st.integers(1, 3))
+def test_oracle_rows_are_the_recorded_steps(T, stride, trials):
+    spec = ExperimentSpec(graph="cycle:16", loads="point:160", steps=str(T),
+                          trials=trials, seed=T, stride=stride)
+    recorded = sorted(set(range(0, T + 1, stride or max(T, 1))) | {T})
+    res = resolve(spec)
+    assert res.oracle.shape == (len(recorded), 16) and not res.oracle.flags.writeable
+    with mock.patch.object(harness, "ORACLE_BYTES_LIMIT", 0):  # the cap counts the same rows
+        with pytest.raises(SizeLimitError, match=f"^{len(recorded)} recorded steps of the n=16 "
+                                                 f"oracle need {res.oracle.nbytes} bytes"):
+            resolve(spec)
+    for row, t in zip(res.oracle, recorded):
+        assert np.array_equal(row, power_apply(res.x0.loads, res.matrix, t))
+    _, rows = run_experiment(spec)
+    assert [int(r.split(",")[1]) for r in rows] == recorded * trials
+    assert rows == _reference_rows(spec)  # max_dev against power_apply, bit for bit
 
 
 LOCKSTEP_SPECS = {
@@ -457,13 +485,35 @@ def test_cli_steps_auto_above_dense_limit_exit_2(tmp_path, capsys):
     ["--graph", "cycle:8", "--steps", "99999999999999999999"],
 ])
 def test_cli_oracle_above_size_cap_exit_2(tmp_path, args):
-    # refused before the record set or the oracle is built, so within seconds
+    # refused before the oracle is allocated or stepped, so within seconds
     proc = subprocess.run([sys.executable, "-m", "diffusim", "simulate", *args,
                            "--out", str(tmp_path / "o.csv")],
                           env=_src_env(), capture_output=True, text=True, timeout=20)
     assert proc.returncode == 2
     assert "above the cap of 268435456; raise --stride" in proc.stderr
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_resolve_holds_only_what_the_cap_counts():
+    # the cap counts one float64 row per recorded step: resolve's peak RSS and
+    # its pickle (sent to every --jobs block) stay near those bytes
+    script = """
+import pickle, resource
+from diffusim.harness import ExperimentSpec, resolve
+resolve(ExperimentSpec(graph="cycle:8", loads="point:100", steps="10"))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+res = resolve(ExperimentSpec(graph="cycle:8", loads="point:100", steps="200000", stride=1))
+grown = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024
+print(grown, len(pickle.dumps(res)))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    grown, pickled = map(int, proc.stdout.split())
+    capped = 200001 * 8 * 8  # res.oracle.nbytes (test_oracle_rows_are_the_recorded_steps)
+    assert grown <= 1.25 * capped + 8 * 2**20
+    assert pickled <= capped + 2**20
 
 
 @pytest.mark.parametrize("args", [

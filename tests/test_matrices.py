@@ -13,6 +13,7 @@ from scipy.sparse import csgraph
 from diffusim import (
     DiffusimError,
     Graph,
+    LoadConfig,
     NotIrreducibleError,
     SizeLimitError,
     UnsupportedMatrixError,
@@ -28,7 +29,9 @@ from diffusim import (
     random_config,
     second_eigenvalue,
     stationary_distribution,
+    step_batch,
 )
+from diffusim import matrices
 from diffusim.matrices import (
     CLASSIFY_TOL,
     DETAILED_BALANCE_TOL,
@@ -163,6 +166,16 @@ def test_entries_canonicalised():
     assert row.ends.tolist() == [0.375, 0.5, 1.0]
     assert P.indptr.tolist() == [0, 1, 2, 5, 6]
     check_matrix_invariants(P)
+
+
+def test_ends_clamped_below_a_slack_sized_last_entry():
+    # row 0's last entry, 3e-13, is below its row-sum slack of 5e-13, so its running
+    # sums pass 1.0 before the self entry: an end above 1.0 would make step_batch
+    # route a phantom token k = x_v past the row's last end
+    P = custom_matrix([(0, 1, 0.5 + 5e-13), (0, 2, 0.5), (0, 0, 3e-13), (1, 1, 1.0), (2, 2, 1.0)], n=3)
+    assert P.ends.max() <= 1.0 and P.ends[P.indptr[1:] - 1].tolist() == [1.0] * 3
+    for seed in range(20):
+        assert step_batch(LoadConfig.from_loads([3, 0, 0]), P, np.random.default_rng(seed)).total == 3
 
 
 def test_running_sums_add_each_row_left_to_right():
@@ -395,17 +408,19 @@ def test_second_eigenvalue_rejects_reducible():
         second_eigenvalue(P)
 
 
-def test_second_eigenvalue_size_limit():
+def test_second_eigenvalue_size_limit(monkeypatch):
     # the dense path's cap: a triangle built from its edges records no group
     P = lazy_rw_matrix(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]))
     assert P.group is None
-    with pytest.raises(SizeLimitError):
-        second_eigenvalue(P, dense_limit=2)
+    monkeypatch.setattr(matrices, "DENSE_LIMIT", 2)
+    with pytest.raises(SizeLimitError, match="above dense eigensolver limit 2"):
+        second_eigenvalue(P)
 
 
-def test_second_eigenvalue_of_a_cayley_chain_has_no_size_limit(lazy_triangle):
+def test_second_eigenvalue_of_a_cayley_chain_has_no_size_limit(lazy_triangle, monkeypatch):
     assert lazy_triangle.group is not None
-    assert second_eigenvalue(lazy_triangle, dense_limit=2) == pytest.approx(0.25, abs=1e-15)
+    monkeypatch.setattr(matrices, "DENSE_LIMIT", 2)
+    assert second_eigenvalue(lazy_triangle) == pytest.approx(0.25, abs=1e-15)
     P = lazy_rw_matrix(gen_hypercube(13))   # n = 8192, above DENSE_LIMIT
     assert second_eigenvalue(P) == 1 - 1 / 13
 
