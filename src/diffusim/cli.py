@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .analysis import PSI_TOL_DEFAULT
 from .discrete import ALGORITHMS
 from .errors import DiffusimError
 from .harness import ExperimentSpec, bounds_report, divergence_report, simulate_to_csv
@@ -28,29 +29,29 @@ def _build_parser() -> _Parser:
 
     sim = sub.add_parser("simulate", help="run seeded trials and write a CSV")
     sim.add_argument("--graph", required=True,
-                     help="cycle:N | hypercube:D | star:N | complete:N | torus:A:B | "
+                     help="cycle:N | hypercube:DIM | star:N | complete:N | torus:A:B | "
                           "random-regular:N:D:SEED | file:PATH")
-    sim.add_argument("--matrix", default="lazy-rw", help="lazy-rw | metropolis | file:PATH")
+    sim.add_argument("--matrix", default=ExperimentSpec.matrix, help="lazy-rw | metropolis | file:PATH")
     sim.add_argument("--algorithm", default=ExperimentSpec.algorithm, help=" | ".join(ALGORITHMS))
-    sim.add_argument("--loads", default="point:1000",
+    sim.add_argument("--loads", default=ExperimentSpec.loads,
                      help="point:M | uniform:M | random:M:SEED | file:PATH")
-    sim.add_argument("--steps", default="auto", help="step count or 'auto'")
-    sim.add_argument("--trials", type=int, default=1)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--stride", type=int, default=1,
+    sim.add_argument("--steps", default=ExperimentSpec.steps, help="step count or 'auto'")
+    sim.add_argument("--trials", type=int, default=ExperimentSpec.trials)
+    sim.add_argument("--seed", type=int, default=ExperimentSpec.seed)
+    sim.add_argument("--stride", type=int, default=ExperimentSpec.stride,
                      help="record every STRIDE steps (0: only t=0 and t=T)")
-    sim.add_argument("--jobs", type=int, default=1)
+    sim.add_argument("--jobs", type=int, default=ExperimentSpec.jobs)
     sim.add_argument("--out", required=True, help="output CSV path")
 
     bnd = sub.add_parser("bounds", help="print spectral stats and theorem bounds")
     bnd.add_argument("--graph", required=True)
-    bnd.add_argument("--matrix", default="lazy-rw")
+    bnd.add_argument("--matrix", default=ExperimentSpec.matrix)
 
     div = sub.add_parser("divergence", help="compute the local p-divergence")
     div.add_argument("--graph", default="")
-    div.add_argument("--matrix", default="lazy-rw")
+    div.add_argument("--matrix", default=ExperimentSpec.matrix)
     div.add_argument("--p", type=int, default=2, choices=(1, 2))
-    div.add_argument("--tol", type=float, default=1e-12)
+    div.add_argument("--tol", type=float, default=PSI_TOL_DEFAULT)
     div.add_argument("--t-max", type=int, default=None)
 
     ver = sub.add_parser("verify", help="run the invariant-verification suites")

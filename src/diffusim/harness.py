@@ -88,7 +88,10 @@ def build_matrix(kind: str, g: graphs.Graph | None) -> matrices.RoundMatrix:
         return matrices.metropolis_matrix(g)
     name, _, rest = kind.partition(":")
     if name == "file":
-        return matrices.matrix_from_text(Path(rest).read_text())
+        P = matrices.matrix_from_text(Path(rest).read_text())
+        if g is not None and g.n != P.n:
+            raise ValidationError(f"graph has {g.n} vertices but matrix has {P.n}")
+        return P
     raise ValidationError(f"unknown matrix kind {kind!r}; expected lazy-rw, metropolis or file:PATH")
 
 
@@ -135,6 +138,15 @@ class ResolvedExperiment:
     unavailable: dict[str, str]   # blank header quantity -> why it is blank
 
 
+def _available(name: str, quantity, P: matrices.RoundMatrix, unavailable: dict[str, str]):
+    """quantity(P), or None with the DiffusimError's text kept as unavailable[name]."""
+    try:
+        return quantity(P)
+    except DiffusimError as exc:
+        unavailable[name] = str(exc)
+        return None
+
+
 def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
     if spec.trials < 1:
         raise ValidationError(f"trials must be >= 1, got {spec.trials}")
@@ -144,39 +156,27 @@ def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
         raise ValidationError(f"jobs must be >= 1, got {spec.jobs}")
     if spec.seed < 0:
         raise ValidationError(f"seed must be >= 0, got {spec.seed}")
-    g = build_graph(spec.graph) if spec.graph else None
-    P = build_matrix(spec.matrix, g)
-    if g is not None and g.n != P.n:
-        raise ValidationError(f"graph has {g.n} vertices but matrix has {P.n}")
-    _check_algorithm(spec.algorithm, g)
-    x0 = build_loads(spec.loads, P.n)
-
-    unavailable: dict[str, str] = {}
-    lam = None
-    try:
-        lam = matrices.second_eigenvalue(P)
-    except SizeLimitError as exc:
-        if spec.steps == "auto":  # only the auto step count needs lambda
-            raise
-        unavailable["lambda"] = str(exc)
-    except DiffusimError as exc:  # not symmetric, or reducible
-        unavailable["lambda"] = str(exc)
-
-    if spec.steps == "auto":
-        disc0 = analysis.discrepancy(x0.loads)
-        if disc0 == 0:
-            T = 0
-        else:
-            if lam is None:
-                raise ValidationError("steps=auto needs a symmetric irreducible matrix")
-            T = continuous.convergence_time(P, disc0, 1.0, lam=lam)
-    else:
+    if spec.steps != "auto":
         try:
             T = int(spec.steps)
         except ValueError:
             raise ValidationError(f"steps must be an integer or 'auto', got {spec.steps!r}") from None
         if T < 0:
             raise ValidationError(f"steps must be >= 0, got {T}")
+    g = build_graph(spec.graph) if spec.graph else None
+    P = build_matrix(spec.matrix, g)
+    _check_algorithm(spec.algorithm, g)
+    x0 = build_loads(spec.loads, P.n)
+
+    unavailable: dict[str, str] = {}
+    lam = _available("lambda", matrices.second_eigenvalue, P, unavailable)
+    if spec.steps == "auto":
+        disc0 = analysis.discrepancy(x0.loads)
+        T = 0
+        if disc0 > 0:
+            if lam is None:
+                raise ValidationError(f"steps=auto needs lambda: {unavailable['lambda']}")
+            T = continuous.convergence_time(P, disc0, 1.0, lam=lam)
 
     stride = spec.stride or max(T, 1)  # stride 0 records only t=0 and t=T
     recorded = -(-T // stride) + 1
@@ -185,21 +185,13 @@ def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
             f"{recorded} recorded steps of the n={P.n} oracle need {recorded * P.n * 8} bytes, "
             f"above the cap of {ORACLE_BYTES_LIMIT}; raise --stride or lower --steps")
     oracle = np.empty((recorded, P.n))
-    oracle[0] = chi = x0.loads.astype(np.float64)
-    for t in range(1, T + 1):
-        chi = matrices.power_apply(chi, P, 1)
-        if t % stride == 0 or t == T:
-            oracle[-(-t // stride)] = chi
+    oracle[0] = x0.loads
+    for i in range(1, recorded):  # row i is t = min(i * stride, T)
+        oracle[i] = matrices.power_apply(oracle[i - 1], P, min(i * stride, T) - (i - 1) * stride)
     oracle.flags.writeable = False
 
-    psi2 = None
-    bound3 = None
-    try:
-        psi2 = analysis.local_p_divergence(P, p=2).value
-    except DiffusimError as exc:
-        unavailable["psi2"] = str(exc)
-    if psi2 is not None and P.n >= 2:
-        bound3 = analysis.bound_theorem3(psi2, P.n)
+    psi2 = _available("psi2", lambda P: analysis.local_p_divergence(P).value, P, unavailable)
+    bound3 = None if psi2 is None or P.n < 2 else analysis.bound_theorem3(psi2, P.n)
 
     bound12 = None
     bound12_name = ""
@@ -319,26 +311,20 @@ def bounds_report(graph_spec: str, matrix_kind: str) -> list[str]:
         if g.is_regular():
             lines.append(f"d={g.regular_degree()}")
         lines.append(f"d_max={g.d_max}")
-    try:
-        lam = matrices.second_eigenvalue(P)
-        lines.append(f"lambda={lam:.10g}")
-    except DiffusimError as exc:
-        lines.append(f"lambda=unavailable ({exc})")
+    why: dict[str, str] = {}
 
-    psi2 = None
-    try:
-        rep = analysis.local_p_divergence(P, p=2)
-        psi2 = rep.value
-        lines.append(f"psi2_computed={rep.value:.10g}")
+    def show(label: str, value: float | None) -> str:
+        return f"{label}=unavailable ({why[label]})" if value is None else f"{label}={value:.10g}"
+
+    lines.append(show("lambda", _available("lambda", matrices.second_eigenvalue, P, why)))
+    rep = _available("psi2_computed", analysis.local_p_divergence, P, why)
+    psi2 = None if rep is None else rep.value
+    lines.append(show("psi2_computed", psi2))
+    if rep is not None:
         lines.append(f"psi2_t_stop={rep.t_stop}")
-    except DiffusimError as exc:
-        lines.append(f"psi2_computed=unavailable ({exc})")
     for label, fn in (("psi2_bound_symmetric", analysis.psi2_bound_symmetric),
                       ("psi2_bound_reversible", analysis.psi2_bound_reversible)):
-        try:
-            lines.append(f"{label}={fn(P):.10g}")
-        except DiffusimError as exc:
-            lines.append(f"{label}=unavailable ({exc})")
+        lines.append(show(label, _available(label, fn, P, why)))
 
     if g is not None and P.n >= 2:
         if g.is_regular():

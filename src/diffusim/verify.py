@@ -35,16 +35,15 @@ class SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def random_connected_graph(n: int, rng, extra_edges: int | None = None) -> graphs.Graph:
-    """Random spanning tree plus extra random edges; always simple+connected."""
+def random_connected_graph(n: int, rng) -> graphs.Graph:
+    """Random spanning tree plus up to n // 2 extra random edges; simple and connected."""
     if n < 2:
         raise ValueError("need n >= 2")
     edges = set()
     for v in range(1, n):
         parent = int(rng.integers(0, v))
         edges.add((parent, v))
-    if extra_edges is None:
-        extra_edges = n // 2
+    extra_edges = n // 2
     tries = 0
     while extra_edges > 0 and tries < 20 * n:
         tries += 1
@@ -59,9 +58,10 @@ def random_connected_graph(n: int, rng, extra_edges: int | None = None) -> graph
     return graphs.Graph.from_edges(n, edges)
 
 
-def seeded_irregular_graph(n: int = 128, chords: int = 64, seed: int = 5) -> graphs.Graph:
-    """Cycle backbone plus seeded random chords: connected, degrees 2..~6."""
-    rng = np.random.default_rng(seed)
+def seeded_irregular_graph() -> graphs.Graph:
+    """128-cycle backbone plus 64 seeded random chords: connected, degrees 2..~6."""
+    n, chords = 128, 64
+    rng = np.random.default_rng(5)
     edges = {(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)}
     added = 0
     while added < chords:
@@ -120,8 +120,8 @@ def figure_row_matrix() -> matrices.RoundMatrix:
     return matrices.custom_matrix(entries, n=5)
 
 
-def _dirichlet_chain_set(seed: int, count: int = 25):
-    """Fixture chains plus `count` seeded random reversible lazy chains."""
+def _dirichlet_chain_set(seed: int):
+    """Fixture chains plus 25 seeded random reversible lazy chains."""
     chains = [
         ("K2-lazy", matrices.lazy_rw_matrix(graphs.gen_complete(2))),
         ("triangle-lazy", matrices.lazy_rw_matrix(graphs.gen_complete(3))),
@@ -129,7 +129,7 @@ def _dirichlet_chain_set(seed: int, count: int = 25):
         ("star8-metropolis", matrices.metropolis_matrix(graphs.gen_star(8))),
     ]
     rng = np.random.default_rng(seed)
-    for i in range(count):
+    for i in range(25):
         n = int(rng.integers(2, 17))
         P, _ = random_reversible_lazy_chain(n, rng)
         chains.append((f"random-reversible-{i}-n{n}", P))
@@ -475,14 +475,14 @@ def suite_sampler_equivalence(seed: int = 0) -> SuiteResult:
     )
 
 
-def expectation_stats(seed: int = 0, trials: int = 10_000, T: int = 3,
-                      sampler: str = "naive"):
-    """Monte-Carlo mean/std of x_T on the triangle against the matrix-power
-    oracle. Returns (mean, std, oracle, max deviation in standard errors)."""
+def expectation_stats(seed: int = 0, trials: int = 10_000):
+    """Monte-Carlo mean/std of x_3 under step_naive on the triangle against x0 P^3.
+    Returns (mean, std, oracle, max deviation in standard errors)."""
+    T = 3
     P = matrices.lazy_rw_matrix(graphs.gen_complete(3))
     x0 = discrete.LoadConfig.from_loads([30, 0, 0])
     rng = np.random.default_rng(seed)
-    step = discrete.SAMPLERS[sampler]
+    step = discrete.SAMPLERS["naive"]
     finals = np.empty((trials, P.n), dtype=np.int64)
     for i in range(trials):
         cfg = x0

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -8,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import diffusim
@@ -85,10 +86,15 @@ def test_resolve_steps_auto_zero_discrepancy():
     assert resolve(spec).T == 0
 
 
-def test_resolve_rejects_bad_steps():
-    with pytest.raises(ValidationError):
+def test_resolve_rejects_bad_steps(monkeypatch):
+    # the --steps literal is checked with the other spec fields, before any set-up
+    def refuse(spec):
+        raise AssertionError("a graph was built for a bad --steps")
+
+    monkeypatch.setattr(harness, "build_graph", refuse)
+    with pytest.raises(ValidationError, match="^steps must be an integer or 'auto', got 'later'$"):
         resolve(ExperimentSpec(graph="cycle:16", steps="later"))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^steps must be >= 0, got -3$"):
         resolve(ExperimentSpec(graph="cycle:16", steps="-3"))
 
 
@@ -178,11 +184,16 @@ def _reference_rows(spec: ExperimentSpec) -> list[str]:
 
 @settings(max_examples=40, deadline=None)
 @given(T=st.integers(0, 40), stride=st.integers(0, 12), trials=st.integers(1, 3))
+@example(T=40, stride=0, trials=1)
+@example(T=40, stride=1, trials=1)
+@example(T=40, stride=7, trials=1)
 def test_oracle_rows_are_the_recorded_steps(T, stride, trials):
     spec = ExperimentSpec(graph="cycle:16", loads="point:160", steps=str(T),
                           trials=trials, seed=T, stride=stride)
     recorded = sorted(set(range(0, T + 1, stride or max(T, 1))) | {T})
-    res = resolve(spec)
+    with mock.patch.object(harness.matrices, "power_apply", wraps=power_apply) as counted:
+        res = resolve(spec)
+    assert counted.call_count == len(recorded) - 1  # one call per recorded row after t = 0
     assert res.oracle.shape == (len(recorded), 16) and not res.oracle.flags.writeable
     with mock.patch.object(harness, "ORACLE_BYTES_LIMIT", 0):  # the cap counts the same rows
         with pytest.raises(SizeLimitError, match=f"^{len(recorded)} recorded steps of the n=16 "
@@ -416,14 +427,18 @@ def test_cli_simulate_cayley_chain_above_dense_limit(tmp_path, capsys):
 
 def test_cli_simulate_reports_why_header_quantities_are_blank(tmp_path, capsys):
     out = tmp_path / "big.csv"
-    assert main(["simulate", "--graph", "star:5000", "--matrix", "metropolis", "--steps", "10",
-                 "--out", str(out)]) == 0
-    captured = capsys.readouterr()
-    assert captured.err.splitlines() == [
-        "diffusim: lambda unavailable: n=5000 above dense eigensolver limit 4096",
-        "diffusim: psi2 unavailable: dense form refused for n=5000 > 4096",
-    ]
-    assert captured.out == f"wrote 11 rows to {out}\n"
+    for args, T in ((["--steps", "10"], 10),
+                    # no discrepancy: --steps auto gives T = 0 and needs no lambda
+                    (["--loads", "uniform:5000", "--steps", "auto"], 0)):
+        assert main(["simulate", "--graph", "star:5000", "--matrix", "metropolis", *args,
+                     "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "diffusim: lambda unavailable: n=5000 above dense eigensolver limit 4096",
+            "diffusim: psi2 unavailable: dense form refused for n=5000 > 4096",
+        ]
+        assert captured.out == f"wrote {T + 1} rows to {out}\n"
+        assert f"# resolved_steps={T} n=5000" in out.read_text().splitlines()
 
 
 def test_cli_simulate_non_reversible_matrix_file(tmp_path, capsys):
@@ -475,9 +490,15 @@ def test_cli_negative_seed_in_spec_exit_2(tmp_path, capsys, monkeypatch, command
 
 
 def test_cli_steps_auto_above_dense_limit_exit_2(tmp_path, capsys):
-    assert main(["simulate", "--graph", "star:5000", "--matrix", "metropolis",
-                 "--out", str(tmp_path / "o.csv")]) == 2
-    assert "above dense eigensolver limit" in capsys.readouterr().err
+    path = tmp_path / "m.txt"  # a non-symmetric chain has no lambda either
+    path.write_text("3\n" + "".join(f"{v} {(v + 1) % 3} 0.4\n{v} {(v + 2) % 3} 0.1\n{v} {v} 0.5\n"
+                                    for v in range(3)))
+    for graph, matrix, reason in (
+            ("star:5000", "metropolis", "n=5000 above dense eigensolver limit 4096"),
+            ("complete:3", f"file:{path}", "second_eigenvalue requires a symmetric matrix")):
+        assert main(["simulate", "--graph", graph, "--matrix", matrix,
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == f"diffusim: error: steps=auto needs lambda: {reason}\n"
 
 
 @pytest.mark.parametrize("args", [
@@ -638,6 +659,46 @@ def test_cli_divergence(capsys):
 def test_cli_divergence_rejects_bad_flags(capsys, flag, value, message):
     assert main(["divergence", "--graph", "cycle:8", "--p", "1", flag, value]) == 2
     assert capsys.readouterr().err == f"diffusim: error: {message}\n"
+
+
+def test_cli_matrix_file_of_another_size_exit_2(tmp_path, capsys):
+    # build_matrix checks a file: matrix against the graph for every command
+    path = tmp_path / "m5.txt"
+    path.write_text(lazy_rw_matrix(gen_cycle(5)).to_text())
+    for command, extra in (("simulate", ["--steps", "3", "--out", str(tmp_path / "o.csv")]),
+                           ("bounds", []), ("divergence", [])):
+        assert main([command, "--graph", "cycle:8", "--matrix", f"file:{path}", *extra]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "diffusim: error: graph has 8 vertices but matrix has 5\n"), command
+
+
+def test_cli_help_forms_parse_and_defaults_match_the_spec(tmp_path):
+    sub = next(a for a in _build_parser()._actions if a.dest == "command").choices
+    sim = {a.dest: a for a in sub["simulate"]._actions}
+    # the --graph help lists the forms build_graph's error names
+    with pytest.raises(ValidationError) as err:
+        build_graph("blob:3")
+    expected = str(err.value).split("expected ")[1].replace(" or ", ", ").split(", ")
+    graph_forms = sim["graph"].help.split(" | ")
+    assert graph_forms == expected
+    (tmp_path / "g.edges").write_text(diffusim.graphs.edge_list_text(gen_cycle(8)))
+    (tmp_path / "loads.txt").write_text("1\n" * 8)
+    sample = {"N": "8", "DIM": "3", "A": "3", "B": "4", "D": "3", "SEED": "1", "M": "16"}
+
+    def filled(form, path):
+        name, *params = form.split(":")
+        return ":".join([name] + [str(path) if p == "PATH" else sample[p] for p in params])
+
+    for form in graph_forms:
+        assert build_graph(filled(form, tmp_path / "g.edges")).n >= 8
+    for form in sim["loads"].help.split(" | "):
+        assert build_loads(filled(form, tmp_path / "loads.txt"), 8).n == 8
+    for field in dataclasses.fields(ExperimentSpec)[1:]:  # every field but the required graph
+        assert sim[field.name].default == field.default, field.name
+    for command in ("bounds", "divergence"):
+        assert sub[command].get_default("matrix") == ExperimentSpec.matrix
+    assert sub["divergence"].get_default("tol") == diffusim.analysis.PSI_TOL_DEFAULT
 
 
 def test_cli_divergence_reducible_matrix(tmp_path, capsys):
