@@ -21,12 +21,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from diffusim.graphs import edge_list_text  # noqa: E402
-from diffusim.harness import ExperimentSpec, run_experiment, write_csv  # noqa: E402
+from diffusim.harness import CSV_HEADER, ExperimentSpec, simulate_to_csv  # noqa: E402
 from diffusim.verify import seeded_irregular_graph  # noqa: E402
 
 
-def final_fraction_ok(rows: list[str], col: int) -> tuple[float, int]:
-    parsed = [r.split(",") for r in rows]
+def final_fraction_ok(path: Path, col: int) -> tuple[float, int]:
+    lines = path.read_text().splitlines()
+    parsed = [r.split(",") for r in lines[lines.index(CSV_HEADER) + 1:]]
     t_final = max(int(r[1]) for r in parsed)
     finals = [r for r in parsed if int(r[1]) == t_final]
     ok = sum(1 for r in finals if r[col] == "0")
@@ -66,11 +67,10 @@ def main() -> int:
     all_ok = True
     for name, spec, viol_col in experiments:
         start = time.perf_counter()
-        header, rows = run_experiment(spec)
         path = out_dir / f"{name}.csv"
-        write_csv(path, header, rows)
+        simulate_to_csv(spec, path)
         seconds = time.perf_counter() - start
-        frac, t_final = final_fraction_ok(rows, viol_col)
+        frac, t_final = final_fraction_ok(path, viol_col)
         all_ok &= frac >= 0.95
         print(f"{name:11s} T={t_final:5d} trials={args.trials} "
               f"fraction under bound={frac:.3f} {seconds:.2f}s "

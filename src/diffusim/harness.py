@@ -10,6 +10,7 @@ size nor --jobs (which maps blocks onto processes) changes a byte.
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -76,16 +77,16 @@ def build_graph(spec: str) -> graphs.Graph:
     )
 
 
+# The chains built from the graph; Theorems 1 and 2 speak of these only.
+_GRAPH_CHAINS = {"lazy-rw": matrices.lazy_rw_matrix, "metropolis": matrices.metropolis_matrix}
+
+
 def build_matrix(kind: str, g: graphs.Graph | None) -> matrices.RoundMatrix:
     """lazy-rw | metropolis | file:PATH."""
-    if kind == "lazy-rw":
+    if kind in _GRAPH_CHAINS:
         if g is None:
-            raise ValidationError("lazy-rw matrix needs a graph")
-        return matrices.lazy_rw_matrix(g)
-    if kind == "metropolis":
-        if g is None:
-            raise ValidationError("metropolis matrix needs a graph")
-        return matrices.metropolis_matrix(g)
+            raise ValidationError(f"{kind} matrix needs a graph")
+        return _GRAPH_CHAINS[kind](g)
     name, _, rest = kind.partition(":")
     if name == "file":
         P = matrices.matrix_from_text(Path(rest).read_text())
@@ -193,13 +194,12 @@ def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
     psi2 = _available("psi2", lambda P: analysis.local_p_divergence(P).value, P, unavailable)
     bound3 = None if psi2 is None or P.n < 2 else analysis.bound_theorem3(psi2, P.n)
 
-    bound12 = None
-    bound12_name = ""
-    if g is not None and P.n >= 2:
+    bound12, bound12_name = None, ""
+    if spec.matrix in _GRAPH_CHAINS and P.n >= 2:
         if spec.matrix == "lazy-rw":
             bound12 = analysis.bound_theorem1(g.regular_degree(), P.n)
             bound12_name = "thm1"
-        elif spec.matrix == "metropolis":
+        else:
             bound12 = analysis.bound_theorem2(g.d_max, P.n)
             bound12_name = "thm2"
 
@@ -215,12 +215,14 @@ def _fmt(x: float | None) -> str:
 
 
 def _block_rows(res: ResolvedExperiment, first: int, stop: int) -> list[str]:
-    """CSV rows of trials first..stop-1, stepped in lockstep, in trial order."""
+    """CSV lines of trials first..stop-1, stepped in lockstep: one string of
+    rows per trial, in trial order."""
     B, n, total = stop - first, res.matrix.n, res.x0.total
     rngs = [trial_rng(res.spec.seed, trial) for trial in range(first, stop)]
     step = discrete.ALGORITHMS[res.spec.algorithm](res.matrix, res.graph, rngs)
-    bound3, bound12 = _fmt(res.bound3), _fmt(res.bound12)
-    rows: list[list[str]] = [[] for _ in range(B)]
+    recorded = len(res.oracle)
+    disc = np.empty((B, recorded), dtype=np.int64)
+    dev = np.empty((B, recorded))
     loads = np.tile(res.x0.loads, B)
     # glibc's malloc serves a request above its mmap threshold (128 KiB at
     # start) by mmap, and gives the heap top back to the system whenever more
@@ -245,22 +247,28 @@ def _block_rows(res: ResolvedExperiment, first: int, stop: int) -> list[str]:
                                   f"(expected {total}), least load {int(X[b].min())}")
         if t % res.stride and t != res.T:
             continue
-        discs = (X.max(axis=1) - X.min(axis=1)).tolist()
-        devs = np.abs(X - res.oracle[-(-t // res.stride)]).max(axis=1).tolist()
-        for b, (disc, dev) in enumerate(zip(discs, devs)):
-            viol3 = "" if res.bound3 is None else str(int(dev > res.bound3))
-            viol_disc = "" if res.bound12 is None else str(int(disc > res.bound12))
-            rows[b].append(f"{first + b},{t},{disc},{dev:.10g},{bound3},{bound12},{viol3},{viol_disc}")
-    return [row for trial_rows in rows for row in trial_rows]
+        i = -(-t // res.stride)
+        disc[:, i] = X.max(axis=1) - X.min(axis=1)
+        dev[:, i] = np.abs(X - res.oracle[i]).max(axis=1)
+    ts = [min(i * res.stride, res.T) for i in range(recorded)]
+    viol3 = np.full((B, recorded), "") if res.bound3 is None else (dev > res.bound3).astype(np.int8)
+    viol_disc = np.full((B, recorded), "") if res.bound12 is None else (disc > res.bound12).astype(np.int8)
+    bounds = f"{_fmt(res.bound3)},{_fmt(res.bound12)}"
+    return ["".join(f"{first + b},{t},{d},{e:.10g},{bounds},{v3},{vd}\n" for t, d, e, v3, vd
+                    in zip(ts, disc[b].tolist(), dev[b].tolist(), viol3[b].tolist(), viol_disc[b].tolist()))
+            for b in range(B)]
 
 
-def run_experiment(spec: ExperimentSpec,
-                   unavailable: dict[str, str] | None = None) -> tuple[list[str], list[str]]:
-    """Returns ('#'-prefixed header lines, data rows) ready for CSV assembly.
-
-    When a dict is passed as `unavailable`, it receives the reason for each
-    header quantity left blank by an error (ResolvedExperiment.unavailable).
-    """
+def simulate_to_csv(spec: ExperimentSpec, out: str | Path,
+                    unavailable: dict[str, str] | None = None) -> int:
+    """Write spec's CSV to out, each block of trials when it ends, and return
+    the number of data rows. An error leaves no file: a missing directory and
+    bad input are refused before out is opened, and a regular file at out (not
+    /dev/null) is removed if anything raises after. A dict passed as
+    `unavailable` gets the reason for each blank header quantity."""
+    out = Path(out)
+    if not out.parent.is_dir():
+        raise ValidationError(f"output directory {str(out.parent)!r} does not exist")
     res = resolve(spec)
     if unavailable is not None:
         unavailable.update(res.unavailable)
@@ -275,30 +283,21 @@ def run_experiment(spec: ExperimentSpec,
     ]
     B = max(1, BLOCK_ENTRIES // res.matrix.ends.size)
     firsts = range(0, spec.trials, B)
-    stops = [min(first + B, spec.trials) for first in firsts]
-    if spec.jobs > 1 and len(firsts) > 1:  # one block runs on one worker: skip the pool
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(spec.jobs, len(firsts))) as pool:
-            chunks = list(pool.map(_block_rows, [res] * len(firsts), firsts, stops))
-    else:
-        chunks = [_block_rows(res, first, stop) for first, stop in zip(firsts, stops)]
-    rows = [row for chunk in chunks for row in chunk]
-    return header, rows
-
-
-def write_csv(path: str | Path, header: list[str], rows: list[str]) -> None:
-    Path(path).write_text("\n".join(header + rows) + "\n")
-
-
-def simulate_to_csv(spec: ExperimentSpec, out: str | Path,
-                    unavailable: dict[str, str] | None = None) -> int:
-    """Run spec and write its CSV to out; a missing output directory is
-    refused before any set-up or round."""
-    directory = Path(out).parent
-    if not directory.is_dir():
-        raise ValidationError(f"output directory {str(directory)!r} does not exist")
-    header, rows = run_experiment(spec, unavailable)
-    write_csv(out, header, rows)
-    return len(rows)
+    blocks = ([res] * len(firsts), firsts, [min(first + B, spec.trials) for first in firsts])
+    try:
+        with out.open("w") as f:
+            f.write("\n".join(header) + "\n")
+            # chain lets go of each block's lines before it asks for the next block
+            if spec.jobs > 1 and len(firsts) > 1:  # one block runs on one worker: skip the pool
+                with concurrent.futures.ProcessPoolExecutor(max_workers=min(spec.jobs, len(firsts))) as pool:
+                    f.writelines(itertools.chain.from_iterable(pool.map(_block_rows, *blocks)))
+            else:
+                f.writelines(itertools.chain.from_iterable(map(_block_rows, *blocks)))
+    except BaseException:
+        if out.is_file():
+            out.unlink()
+        raise
+    return spec.trials * len(res.oracle)
 
 
 def bounds_report(graph_spec: str, matrix_kind: str) -> list[str]:
@@ -326,7 +325,7 @@ def bounds_report(graph_spec: str, matrix_kind: str) -> list[str]:
                       ("psi2_bound_reversible", analysis.psi2_bound_reversible)):
         lines.append(show(label, _available(label, fn, P, why)))
 
-    if g is not None and P.n >= 2:
+    if matrix_kind in _GRAPH_CHAINS and P.n >= 2:
         if g.is_regular():
             lines.append(f"bound_thm1={analysis.bound_theorem1(g.regular_degree(), P.n):.10g}")
         lines.append(f"bound_thm2={analysis.bound_theorem2(g.d_max, P.n):.10g}")

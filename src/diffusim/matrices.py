@@ -292,16 +292,16 @@ def custom_matrix(entries: Sequence[tuple[int, int, float]], n: int | None = Non
 
 def matrix_from_text(text: str) -> RoundMatrix:
     """Parse the "n" header + "v u p" line format (see RoundMatrix.to_text)."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = [(lineno, ln.strip()) for lineno, ln in enumerate(text.splitlines(), start=1)]
+    lines = [(lineno, ln) for lineno, ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise ValidationError("matrix text is empty")
     try:
-        n = int(lines[0])
+        n = int(lines[0][1])
     except ValueError:
-        raise ValidationError(f"bad header line {lines[0]!r}, expected vertex count") from None
+        raise ValidationError(f"bad header line {lines[0][1]!r}, expected vertex count") from None
     entries = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3:
             raise ValidationError(f"line {lineno}: expected 'v u p', got {ln!r}")

@@ -24,11 +24,19 @@ from diffusim.harness import (
     build_loads,
     build_matrix,
     resolve,
-    run_experiment,
     simulate_to_csv,
     trial_rng,
 )
 from diffusim.verify import SUITES, SuiteResult
+
+
+def _run(spec: ExperimentSpec, directory: Path) -> tuple[list[str], list[str]]:
+    """simulate_to_csv into directory: (the header lines through CSV_HEADER, the data rows)."""
+    out = directory / "run.csv"
+    simulate_to_csv(spec, out)
+    lines = out.read_text().splitlines()
+    split = lines.index(CSV_HEADER) + 1
+    return lines[:split], lines[split:]
 
 
 def test_build_graph_specs():
@@ -98,9 +106,9 @@ def test_resolve_rejects_bad_steps(monkeypatch):
         resolve(ExperimentSpec(graph="cycle:16", steps="-3"))
 
 
-def test_uniform_start_has_zero_discrepancy_row():
+def test_uniform_start_has_zero_discrepancy_row(tmp_path):
     spec = ExperimentSpec(graph="cycle:16", loads="uniform:160", steps="0", trials=1)
-    _, rows = run_experiment(spec)
+    _, rows = _run(spec, tmp_path)
     assert len(rows) == 1
     trial, t, disc = rows[0].split(",")[:3]
     assert (trial, t, disc) == ("0", "0", "0")
@@ -109,8 +117,8 @@ def test_uniform_start_has_zero_discrepancy_row():
 def test_csv_header_and_determinism(tmp_path):
     spec = ExperimentSpec(graph="cycle:16", matrix="lazy-rw", algorithm="alg2-batch",
                           loads="point:160", steps="25", trials=3, seed=11, stride=5)
-    h1, r1 = run_experiment(spec)
-    h2, r2 = run_experiment(spec)
+    h1, r1 = _run(spec, tmp_path)
+    h2, r2 = _run(spec, tmp_path)
     assert h1 == h2 and r1 == r2
     assert h1[-1] == CSV_HEADER
     assert any("log_convention=natural" in line for line in h1)
@@ -123,26 +131,26 @@ def test_csv_header_and_determinism(tmp_path):
     assert digest == "ac96e1e43426861f597b2eed7153eace5a382cc642bc4814d866206efff86e27"
 
 
-def test_rows_cover_stride_and_endpoints():
+def test_rows_cover_stride_and_endpoints(tmp_path):
     spec = ExperimentSpec(graph="cycle:16", loads="point:160", steps="13",
                           trials=1, stride=5)
-    _, rows = run_experiment(spec)
+    _, rows = _run(spec, tmp_path)
     ts = [int(r.split(",")[1]) for r in rows]
     assert ts == [0, 5, 10, 13]
     spec0 = ExperimentSpec(graph="cycle:16", loads="point:160", steps="13",
                            trials=1, stride=0)
-    _, rows0 = run_experiment(spec0)
+    _, rows0 = _run(spec0, tmp_path)
     assert [int(r.split(",")[1]) for r in rows0] == [0, 13]
 
 
-def test_trial_rows_stable_under_trial_count_growth():
+def test_trial_rows_stable_under_trial_count_growth(tmp_path):
     base = dict(graph="cycle:16", loads="point:160", steps="10", stride=0, seed=3)
-    _, rows1 = run_experiment(ExperimentSpec(trials=1, **base))
-    _, rows3 = run_experiment(ExperimentSpec(trials=3, **base))
+    _, rows1 = _run(ExperimentSpec(trials=1, **base), tmp_path)
+    _, rows3 = _run(ExperimentSpec(trials=3, **base), tmp_path)
     assert rows3[: len(rows1)] == rows1
 
 
-def test_jobs_do_not_change_bytes(monkeypatch):
+def test_jobs_do_not_change_bytes(monkeypatch, tmp_path):
     # 4 trials are one block: jobs=2 runs it here, with no process pool
     # (test_lockstep_jobs_over_blocks_same_bytes covers the pool)
     def no_pool(*args, **kwargs):
@@ -150,9 +158,9 @@ def test_jobs_do_not_change_bytes(monkeypatch):
 
     base = dict(graph="cycle:16", loads="point:160", steps="12", stride=0,
                 seed=5, trials=4)
-    h1, r1 = run_experiment(ExperimentSpec(jobs=1, **base))
+    h1, r1 = _run(ExperimentSpec(jobs=1, **base), tmp_path)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    h2, r2 = run_experiment(ExperimentSpec(jobs=2, **base))
+    h2, r2 = _run(ExperimentSpec(jobs=2, **base), tmp_path)
     assert (h1, r1) == (h2, r2)
 
 
@@ -187,7 +195,7 @@ def _reference_rows(spec: ExperimentSpec) -> list[str]:
 @example(T=40, stride=0, trials=1)
 @example(T=40, stride=1, trials=1)
 @example(T=40, stride=7, trials=1)
-def test_oracle_rows_are_the_recorded_steps(T, stride, trials):
+def test_oracle_rows_are_the_recorded_steps(T, stride, trials, tmp_path_factory):
     spec = ExperimentSpec(graph="cycle:16", loads="point:160", steps=str(T),
                           trials=trials, seed=T, stride=stride)
     recorded = sorted(set(range(0, T + 1, stride or max(T, 1))) | {T})
@@ -201,7 +209,7 @@ def test_oracle_rows_are_the_recorded_steps(T, stride, trials):
             resolve(spec)
     for row, t in zip(res.oracle, recorded):
         assert np.array_equal(row, power_apply(res.x0.loads, res.matrix, t))
-    _, rows = run_experiment(spec)
+    _, rows = _run(spec, tmp_path_factory.mktemp("rows"))
     assert [int(r.split(",")[1]) for r in rows] == recorded * trials
     assert rows == _reference_rows(spec)  # max_dev against power_apply, bit for bit
 
@@ -234,11 +242,11 @@ def test_lockstep_specs_cover_the_registry():
 
 @pytest.mark.parametrize("block_entries", [harness.BLOCK_ENTRIES, 100, 1])
 @pytest.mark.parametrize("name", list(LOCKSTEP_SPECS))
-def test_lockstep_rows_match_one_trial_at_a_time(monkeypatch, name, block_entries):
+def test_lockstep_rows_match_one_trial_at_a_time(monkeypatch, name, block_entries, tmp_path):
     # any block size gives the rows of stepping each trial on its own
     monkeypatch.setattr(harness, "BLOCK_ENTRIES", block_entries)
     spec = LOCKSTEP_SPECS[name]
-    _, rows = run_experiment(spec)
+    _, rows = _run(spec, tmp_path)
     assert rows == _reference_rows(spec)
     if name == "no-cuts":
         assert {row.split(",")[2] for row in rows} == {"0"}
@@ -253,15 +261,15 @@ def test_lockstep_multi_straddle_happens():
     assert 0 < u.size < cuts.size
 
 
-def test_lockstep_jobs_over_blocks_same_bytes():
+def test_lockstep_jobs_over_blocks_same_bytes(tmp_path):
     spec = LOCKSTEP_SPECS["multi-block"]
     assert max(1, harness.BLOCK_ENTRIES // resolve(spec).matrix.ends.size) < spec.trials
-    h1, r1 = run_experiment(spec)
-    h2, r2 = run_experiment(ExperimentSpec(**{**vars(spec), "jobs": 2}))
+    h1, r1 = _run(spec, tmp_path)
+    h2, r2 = _run(ExperimentSpec(**{**vars(spec), "jobs": 2}), tmp_path)
     assert (h1, r1) == (h2, r2)
 
 
-def test_lockstep_names_the_trial_that_lost_a_token(monkeypatch):
+def test_lockstep_names_the_trial_that_lost_a_token(monkeypatch, tmp_path):
     real = discrete.ALGORITHMS["alg2-batch"]
     blocks = []
 
@@ -281,12 +289,14 @@ def test_lockstep_names_the_trial_that_lost_a_token(monkeypatch):
     monkeypatch.setitem(discrete.ALGORITHMS, "alg2-batch", lossy)
     monkeypatch.setattr(harness, "BLOCK_ENTRIES", 100)  # cycle:16 has 48 entries: blocks of 2
     spec = ExperimentSpec(graph="cycle:16", loads="point:160", steps="5", trials=4, seed=1)
+    out = tmp_path / "o.csv"
     with pytest.raises(ValidationError, match=r"^trial 3, step 1: total 159 \(expected 160\)"):
-        run_experiment(spec)
+        simulate_to_csv(spec, out)
     assert blocks == [2, 2]
+    assert not out.exists()  # opened with the header, then removed when block 2 failed
 
 
-def test_lockstep_names_the_trial_that_went_negative(monkeypatch):
+def test_lockstep_names_the_trial_that_went_negative(monkeypatch, tmp_path):
     # the total is kept, so only the round's least-load check can catch it
     real = discrete.ALGORITHMS["alg2-batch"]
 
@@ -306,8 +316,11 @@ def test_lockstep_names_the_trial_that_went_negative(monkeypatch):
 
     monkeypatch.setitem(discrete.ALGORITHMS, "alg2-batch", negative)
     spec = ExperimentSpec(graph="cycle:16", loads="point:16", steps="5", trials=3, seed=1)
+    out = tmp_path / "o.csv"
+    out.write_text("an earlier run's rows\n")  # a failed run leaves no file, not the old one
     with pytest.raises(ValidationError, match=r"^trial 1, step 2: total 16 \(expected 16\), least load -1$"):
-        run_experiment(spec)
+        simulate_to_csv(spec, out)
+    assert not out.exists()
 
 
 def test_trial_rng_is_stable():
@@ -317,19 +330,19 @@ def test_trial_rng_is_stable():
     assert not np.array_equal(trial_rng(42, 3).random(4), trial_rng(42, 4).random(4))
 
 
-def test_baseline_algorithms_run():
+def test_baseline_algorithms_run(tmp_path):
     for alg in ("send-floor2d", "send-round3d", "send-partition", "rsend"):
         spec = ExperimentSpec(graph="cycle:8", algorithm=alg, loads="point:64",
                               steps="6", trials=1)
-        _, rows = run_experiment(spec)
+        _, rows = _run(spec, tmp_path)
         assert len(rows) == 7
 
 
-def test_baseline_rejects_irregular_graph():
+def test_baseline_rejects_irregular_graph(tmp_path):
     spec = ExperimentSpec(graph="star:8", matrix="metropolis",
                           algorithm="send-floor2d", loads="point:8", steps="2")
     with pytest.raises(ValidationError):
-        run_experiment(spec)
+        _run(spec, tmp_path)
 
 
 @pytest.mark.parametrize("graph, algorithm, message", [
@@ -453,6 +466,13 @@ def test_cli_simulate_non_reversible_matrix_file(tmp_path, capsys):
         "diffusim: lambda unavailable: second_eigenvalue requires a symmetric matrix",
     ]
     assert "# lambda= psi2=2.14422507 bound_thm3=8.989852931 bound_thm1_or_2=" in out.read_text()
+    # Theorems 1 and 2 speak of the graph's own chains: bounds names neither for this file: chain
+    assert main(["bounds", "--graph", "complete:3", "--matrix", f"file:{path}"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "bound_thm3=8.989852931" in lines
+    assert not [ln for ln in lines if ln.startswith(("bound_thm1=", "bound_thm2="))]
+    assert main(["bounds", "--graph", "complete:3"]) == 0
+    assert "bound_thm1=26.68146853" in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])
@@ -535,6 +555,27 @@ print(grown, len(pickle.dumps(res)))
     capped = 200001 * 8 * 8  # res.oracle.nbytes (test_oracle_rows_are_the_recorded_steps)
     assert grown <= 1.25 * capped + 8 * 2**20
     assert pickled <= capped + 2**20
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+def test_simulate_peak_rss_does_not_grow_with_trials(tmp_path):
+    # the rows go to --out as each block of 85 trials ends: 4 blocks peak
+    # near 1, where holding every row until the end cost ~30 MB more.
+    # VmHWM is this process's own peak; ru_maxrss would count the RSS that
+    # the spawning pytest process had before exec.
+    script = ("import sys\nfrom diffusim import cli\ncode = cli.main(sys.argv[1:])\n"
+              "print(code, *[ln.split()[1] for ln in open('/proc/self/status') if ln.startswith('VmHWM:')])\n")
+    peaks = []
+    for trials in ("85", "340"):
+        proc = subprocess.run([sys.executable, "-c", script, "simulate", "--graph", "cycle:64",
+                               "--loads", "point:1000", "--steps", "500", "--stride", "1",
+                               "--trials", trials, "--out", str(tmp_path / "o.csv")],
+                              env=_src_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        code, peak = proc.stdout.splitlines()[-1].split()
+        assert code == "0"
+        peaks.append(int(peak))  # kB
+    assert peaks[1] - peaks[0] < 8 * 1024, peaks
 
 
 @pytest.mark.parametrize("args", [
@@ -796,3 +837,13 @@ def test_cli_verify_failure_exit_3(monkeypatch, capsys):
     )
     assert main(["verify", "--suite", "prop1"]) == 3
     assert "[FAIL]" in capsys.readouterr().out
+
+
+def test_theorem_experiments_script_runs(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_theorem_experiments.py"
+    proc = subprocess.run([sys.executable, str(script), "--trials", "2", "--out-dir", str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert [ln.split(" trials=")[0] for ln in proc.stdout.splitlines()] == [
+        "regular     T=  172", "irregular   T=  676", "oracle-gap  T= 5173"]
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["irregular.csv", "oracle-gap.csv", "regular.csv"]

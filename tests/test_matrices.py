@@ -450,6 +450,9 @@ def test_matrix_text_round_trip(lazy_triangle):
 def test_matrix_text_validates():
     with pytest.raises(ValidationError):
         matrix_from_text("2\n0 0 0.5\n0 1 0.4\n1 1 1.0")
+    # errors number the file's own lines, comment and blank lines included
+    with pytest.raises(ValidationError, match=r"^line 6: non-numeric token in '2 2 x'$"):
+        matrix_from_text("# a comment\n\n3\n0 0 1.0\n1 1 1.0\n2 2 x\n")
 
 
 def _construction_digest(P, *extra) -> str:
