@@ -459,10 +459,35 @@ def sampler_equivalence_stats(seed: int = 0, samples: int = 10_000):
     # chi-square homogeneity over the non-deterministic (token, target) cells
     cells = support & ~det_mask[:, None]
     table = np.array([counts[s][cells] for s in ("naive", "batch")])
-    from scipy.special import chdtrc  # here, not at the top: only this suite needs it
     expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
-    p_value = chdtrc(table.shape[1] - 1, np.sum((table - expected) ** 2 / expected))
-    return det_sets_equal, support_sets_equal, float(p_value), table
+    p_value = _chi2_sf(table.shape[1] - 1, float(np.sum((table - expected) ** 2 / expected)))
+    return det_sets_equal, support_sets_equal, p_value, table
+
+
+def _chi2_sf(df: int, x: float) -> float:
+    """P(chi-square with df degrees of freedom > x) for integer df >= 1.
+
+    This is Q(df/2, h) at h = x/2, a finite sum for integer df:
+      even df: e^-h sum_{j < df/2} h^j / j!
+      odd df:  erfc(sqrt h) + e^-h sum_{j < (df-1)/2} h^(j+1/2) / Gamma(j + 3/2)
+    The sum is scaled as exp(log(sum) - h), not e^-h * sum: past h = 708 e^-h
+    is subnormal and short of bits while the tail itself can still be normal.
+    The sum is for a contingency table's small df: it overflows once a term
+    passes 1e308 (df = 2000 at x = 3000 returns inf).
+    """
+    if df < 1:
+        raise ValueError(f"chi-square needs df >= 1, got {df}")
+    h = x / 2
+    odd = df % 2
+    a = 1.5 if odd else 1.0   # term 0 is h^(a-1) / Gamma(a); term j+1 is term j * h / (a + j)
+    term = math.sqrt(h) / math.gamma(a) if odd else 1.0
+    total = 0.0
+    for _ in range(df // 2):
+        total += term
+        term *= h / a
+        a += 1
+    tail = math.exp(math.log(total) - h) if total > 0 else 0.0
+    return (math.erfc(math.sqrt(h)) if odd else 0.0) + tail
 
 
 def suite_sampler_equivalence(seed: int = 0) -> SuiteResult:

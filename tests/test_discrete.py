@@ -803,12 +803,14 @@ def test_registry_samplers_step_each_trial_like_one_trial_rounds(name, sampler):
 
 
 @pytest.mark.parametrize("seed, p_value", [
-    (0, 0.6632504753504236), (101, 0.8504277877279927), (102, 0.9264358841755408),
+    (0, 0.6632504753504237), (101, 0.8504277877279925), (102, 0.9264358841755408),
 ])
 def test_sampler_equivalence_p_value_is_chi2_contingency(seed, p_value):
     _, _, p, table = sampler_equivalence_stats(seed)
     assert table.shape[0] == 2 and table.shape[1] >= 3  # dof >= 2: no Yates correction
-    assert p == chi2_contingency(table)[1] == p_value
+    # verify's own chi-square tail and scipy's round differently in the last bits
+    assert p == pytest.approx(chi2_contingency(table)[1], rel=1e-13)
+    assert p == p_value
 
 
 def test_loads_text_round_trip():

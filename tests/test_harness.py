@@ -535,18 +535,21 @@ def test_cli_oracle_above_size_cap_exit_2(tmp_path, args):
     assert not (tmp_path / "o.csv").exists()
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
 def test_resolve_holds_only_what_the_cap_counts():
     # the cap counts one float64 row per recorded step: resolve's peak RSS and
-    # its pickle (sent to every --jobs block) stay near those bytes
+    # its pickle (sent to every --jobs block) stay near those bytes. VmHWM is
+    # this process's own peak; ru_maxrss would start from the RSS that the
+    # spawning pytest process had before exec, and hide the growth under it.
     script = """
-import pickle, resource
+import pickle
 from diffusim.harness import ExperimentSpec, resolve
+def peak():  # bytes
+    return next(int(ln.split()[1]) for ln in open("/proc/self/status") if ln.startswith("VmHWM:")) * 1024
 resolve(ExperimentSpec(graph="cycle:8", loads="point:100", steps="10"))
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak()
 res = resolve(ExperimentSpec(graph="cycle:8", loads="point:100", steps="200000", stride=1))
-grown = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024
-print(grown, len(pickle.dumps(res)))
+print(peak() - before, len(pickle.dumps(res)))
 """
     proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
                           capture_output=True, text=True, timeout=120)
@@ -636,11 +639,13 @@ def test_cli_oversize_total_exit_2_under_optimize(tmp_path):
 
 
 def test_cli_simulate_symmetric_chains_loads_no_scipy(tmp_path):
-    # scipy.sparse costs ~0.25 s at import; a reversible chain or a symmetric
-    # support needs none of it, and only verify's chi-square needs scipy.special
+    # scipy.sparse costs ~0.25 s at import and a reversible chain or a symmetric
+    # support needs none of it; verify's chi-square tail is a closed form, so
+    # it loads no scipy.special either
     runs = [["simulate", "--graph", graph, "--matrix", matrix, "--loads", "point:100", "--steps", "3",
              "--trials", "2", "--out", str(tmp_path / f"{matrix}.csv")]
             for graph, matrix in (("cycle:64", "lazy-rw"), ("star:50", "metropolis"))]
+    runs.append(["verify", "--suite", "sampler-equivalence"])
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; from diffusim import cli; "
          f"codes = [cli.main(args) for args in {runs!r}]; "
@@ -648,7 +653,7 @@ def test_cli_simulate_symmetric_chains_loads_no_scipy(tmp_path):
         env=_src_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc malloc thresholds")

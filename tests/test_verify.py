@@ -1,7 +1,10 @@
 """Suite-level tests of diffusim.verify: the sampler calls each suite makes,
-and the first violation the chunked lemma check reports."""
+the first violation the chunked lemma check reports, and the chi-square tail."""
+import math
+
 import numpy as np
 import pytest
+from scipy.special import chdtrc
 
 from diffusim import LoadConfig, discrete, verify
 
@@ -131,3 +134,26 @@ def test_dirichlet_suite_pinned(seed, detail, checks):
     # sum moves the reported (chain, w, t) even when every check passes
     res = verify.suite_dirichlet(seed)
     assert (res.passed, res.detail, res.checks) == (True, detail, checks)
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-8, 0.5, 3.0, 40.0, 1000.0, 1500.0])
+def test_chi2_sf_closed_form_identities(x):
+    assert verify._chi2_sf(2, x) == math.exp(-x / 2)
+    assert verify._chi2_sf(1, x) == math.erfc(math.sqrt(x / 2))
+
+
+@pytest.mark.parametrize("df", range(1, 13))
+def test_chi2_sf_matches_scipy(df):
+    assert verify._chi2_sf(df, 0.0) == 1.0
+    xs = np.concatenate([[0.0, 1e-8], np.arange(0.5, 1500.25, 0.5)])
+    ref = chdtrc(df, xs)
+    for x, q in zip(xs.tolist(), ref.tolist()):
+        # past x ≈ 225 both tails exponentiate an exponent near -x/2 rounded to
+        # its ulp, so each carries a relative error up to ~(x/2) 2**-52; below
+        # 1e-300 the tail has underflowed
+        assert verify._chi2_sf(df, x) == pytest.approx(q, rel=max(1e-13, x * 2**-51), abs=1e-300)
+
+
+def test_chi2_sf_rejects_df_below_one():
+    with pytest.raises(ValueError, match="df >= 1"):
+        verify._chi2_sf(0, 1.0)
