@@ -197,7 +197,10 @@ def _route(loads: np.ndarray, P, rngs):
     in token units; interior[i] counts the windows [k, k+1) inside it. Boundary
     token k of vertex P.rows[e] drew u and goes to entry e, in row-major order.
     P is a RoundMatrix, or B copies tiled by _tile with B*n loads; the uniforms
-    fill one buffer, trial b's slice in one rngs[b].random call. Raw interior
+    fill one buffer, trial b's slice in one rngs[b].random call. One generator
+    may also serve all B copies: its one call then draws every copy's
+    uniforms in copy order, which is the stream B successive one-copy rounds
+    consume, since PCG64 spends one output per double. Raw interior
     floor(hi) - ceil(lo) < 0 <=> two cuts in one window (the interval's ends):
     only then does a token straddle several cuts and the cuts get grouped.
     """
@@ -290,21 +293,30 @@ def step_batch(x: LoadConfig, P: RoundMatrix, rng, trace: bool = False):
         raise ValidationError(f"config has {x.n} vertices, matrix has {P.n}")
     loads = x.loads
     interior, k, u, e = _route(loads, P, (rng,))
-    dest = P.targets[e]
-    cfg = _conserved(_scatter(P.targets, interior, dest, P.n), x.total)
+    cfg = _conserved(_scatter(P.targets, interior, P.targets[e], P.n), x.total)
     if not trace:
         return cfg
-    at = (loads.cumsum() - loads)[P.rows[e]] + k.astype(np.int64)  # flat position of each draw
-    sampled = np.zeros(x.total, dtype=bool)
+    return cfg, StepTrace(loads, loads, *_token_routes(loads, P, interior, k, u, e))
+
+
+def _token_routes(loads: np.ndarray, P, interior, k, u, e):
+    """(destinations, sampled, r_values) of a round that _route routed, per
+    token, vertex by vertex: StepTrace's fields. P and loads are those given
+    to _route, so a block of B copies tiled by _tile gives copy b's tokens
+    after copy b-1's, with targets shifted by b*n."""
+    ends = loads.cumsum()
+    at = (ends - loads)[P.rows[e]] + k.astype(np.int64)  # flat position of each draw
+    size = int(ends[-1])
+    sampled = np.zeros(size, dtype=bool)
     sampled[at] = True
-    dests = np.empty(x.total, dtype=np.int64)
-    dests[at] = dest
+    dests = np.empty(size, dtype=np.int64)
+    dests[at] = P.targets[e]
     # the other tokens fill each interval's whole windows in row order
     dests[~sampled] = P.targets.repeat(interior.astype(np.int64))
-    r = np.empty(x.total)
+    r = np.empty(size)
     r.fill(np.nan)
     r[at] = k + u
-    return cfg, StepTrace(loads, loads, dests, sampled, r)
+    return dests, sampled, r
 
 
 def step_naive(x: LoadConfig, P: RoundMatrix, rng, trace: bool = False):

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import analysis, continuous, discrete, graphs, matrices
+from . import analysis, continuous, discrete, graphs, harness, matrices
 from .errors import ValidationError
 
 CHI2_P_FLOOR = 0.001
@@ -421,8 +421,11 @@ def suite_conservation(seed: int = 0) -> SuiteResult:
 def sampler_equivalence_stats(seed: int = 0, samples: int = 10_000):
     """Shared machinery for the naive-vs-batch comparison on the 5-load row.
 
-    Returns (deterministic sets equal, support sets equal, chi2 p-value,
-    contingency table).
+    Each sampler takes `samples` one-round samples from x0 = [0,0,0,0,5],
+    drawing from default_rng(seed + i) (naive i = 0, batch i = 1) exactly the
+    uniforms that one traced SAMPLERS call per sample would (see
+    _sampler_counts). Returns (deterministic sets equal, support sets equal,
+    chi2 p-value, contingency table).
     """
     P = figure_row_matrix()
     x0 = discrete.LoadConfig.from_loads([0, 0, 0, 0, 5])
@@ -434,20 +437,13 @@ def sampler_equivalence_stats(seed: int = 0, samples: int = 10_000):
     counts = {}
     det_sets_equal = True
     support_sets_equal = True
-    width = row.targets.size
     col = np.zeros(P.n, dtype=np.int64)   # the table column of each row target
-    col[row.targets] = np.arange(width)
+    col[row.targets] = np.arange(row.targets.size)
     for si, sampler in enumerate(("naive", "batch")):
-        rng = np.random.default_rng(seed + si)
-        dests = np.empty((samples, x_hub), dtype=np.int64)
-        drawn = np.empty((samples, x_hub), dtype=bool)
-        for i in range(samples):
-            _, tr = discrete.SAMPLERS[sampler](x0, P, rng, trace=True)
-            dests[i] = tr.destinations   # the hub holds every token
-            drawn[i] = tr.sampled
-        cell = np.arange(x_hub) * width + col[dests]   # (token, column) of each sample
-        table = np.bincount(cell.ravel(), minlength=x_hub * width).reshape(x_hub, width)
-        if sampler == "batch" and np.any(drawn == det_mask):   # a drawn token is not deterministic
+        table, draws = _sampler_counts(sampler, P, x0, np.random.default_rng(seed + si),
+                                       samples, col)
+        # every sample draws for exactly the tokens that are not deterministic
+        if sampler == "batch" and np.any(draws != np.where(det_mask, 0, samples)):
             det_sets_equal = False
         counts[sampler] = table
         seen = table > 0
@@ -462,6 +458,49 @@ def sampler_equivalence_stats(seed: int = 0, samples: int = 10_000):
     expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
     p_value = _chi2_sf(table.shape[1] - 1, float(np.sum((table - expected) ** 2 / expected)))
     return det_sets_equal, support_sets_equal, p_value, table
+
+
+def _sampler_counts(sampler: str, P: matrices.RoundMatrix, x0: discrete.LoadConfig, rng,
+                    samples: int, col: np.ndarray):
+    """(table, draws) of `samples` one-round samples of a sampler from x0,
+    whose tokens all sit on one vertex: table[k, col[u]] counts the samples
+    that sent token k to u, and draws[k] those that drew for token k.
+
+    The samples step in blocks of B = max(1, BLOCK_ENTRIES // nnz) copies of
+    P, side by side as I_B (x) P, and draw from rng in copy order: "naive" one
+    uniform per token, "batch" through _route. PCG64 spends one output per
+    double, so a block draws the uniforms that B traced SAMPLERS[sampler]
+    calls would, and each copy lands where its call's trace would. A copy
+    whose total or least load is off raises ValidationError naming its sample.
+    """
+    n, m = P.n, x0.total
+    width = int(col.max()) + 1
+    table = np.zeros(m * width, dtype=np.int64)
+    draws = np.zeros(m, dtype=np.int64)
+    B = max(1, harness.BLOCK_ENTRIES // P.ends.size)
+    for first in range(0, samples, B):
+        b = min(B, samples - first)
+        M, loads = discrete._tile(P, b), np.tile(x0.loads, b)
+        if sampler == "naive":
+            v, k, _ = discrete._tokens(loads)
+            dests = discrete._token_dests(M, loads, v, k + rng.random(v.size))
+            new = np.bincount(dests, minlength=b * n)
+            draws += b
+        else:
+            interior, k, u, e = discrete._route(loads, M, (rng,))
+            new = discrete._scatter(M.targets, interior, M.targets[e], b * n)
+            dests, sampled, _ = discrete._token_routes(loads, M, interior, k, u, e)
+            draws += sampled.reshape(b, m).sum(axis=0)
+        new = new.reshape(b, n)
+        got, least = new.sum(axis=1), new.min(axis=1)
+        bad = ((got != m) | (least < 0)).nonzero()[0]
+        if bad.size:
+            i = int(bad[0])
+            raise ValidationError(f"{sampler} sample {first + i}: step produced total {got[i]} "
+                                  f"and least load {least[i]}, expected total {m}")
+        cell = np.arange(m) * width + col[dests % n].reshape(b, m)  # (token, column) of each sample
+        table += np.bincount(cell.ravel(), minlength=m * width)
+    return table.reshape(m, width), draws
 
 
 def _chi2_sf(df: int, x: float) -> float:
