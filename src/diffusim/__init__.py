@@ -6,6 +6,7 @@ from .analysis import (
     bound_theorem2,
     bound_theorem3,
     bound_theorem5,
+    convergence_time,
     dirichlet_form,
     dirichlet_identity_check,
     discrepancy,
@@ -13,13 +14,12 @@ from .analysis import (
     psi2_bound_reversible,
     psi2_bound_symmetric,
 )
-from .continuous import continuous_run, convergence_time
+from .continuous import continuous_run
 from .discrete import (
     LoadConfig,
     StepTrace,
     config_from_preset,
     destination_distribution,
-    deterministic_token_mask,
     point_config,
     random_config,
     run,

@@ -1,4 +1,5 @@
-"""Discrepancy, local p-divergence, Dirichlet forms, and bound calculators.
+"""Discrepancy, convergence time, local p-divergence, Dirichlet forms, and
+bound calculators.
 
 Conventions: "log N" means the natural log everywhere a bound is evaluated,
 and the divergence sums run over ordered pairs (v, u) with P[v,u] > 0, so a
@@ -11,14 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuous import convergence_time
 from .errors import (
+    NonConvergentError,
     NotConvergedError,
     NotIrreducibleError,
     UnsupportedMatrixError,
     ValidationError,
 )
-from .matrices import RoundMatrix, cayley_spectrum, detailed_balance_pi, power_apply
+from .matrices import RoundMatrix, cayley_spectrum, detailed_balance_pi, power_apply, second_eigenvalue
 
 PSI_TOL_DEFAULT = 1e-12
 PSI_T_MAX_FALLBACK = 10_000
@@ -32,6 +33,28 @@ def discrepancy(xi) -> float:
     if arr.size == 0:
         raise ValidationError("discrepancy of an empty vector")
     return float(arr.max() - arr.min())
+
+
+def convergence_time(P: RoundMatrix, disc0: float, eps: float,
+                     lam: float | None = None) -> int:
+    """Steps after which the continuous diffusion is within eps of balanced.
+
+    ceil( log(4 * disc0 * N / eps) / (1 - lambda) ) with the natural log;
+    lambda is the second-largest eigenvalue magnitude, computed here when
+    not supplied. Requires a symmetric irreducible chain.
+    """
+    if disc0 <= 0:
+        raise ValidationError(f"initial discrepancy must be positive, got {disc0}")
+    if eps <= 0:
+        raise ValidationError(f"eps must be positive, got {eps}")
+    if lam is None:
+        lam = second_eigenvalue(P)
+    if lam >= 1.0:
+        raise NonConvergentError("second eigenvalue magnitude is 1; the chain does not converge")
+    if lam < 0:
+        raise ValidationError(f"lambda must be in [0, 1), got {lam}")
+    threshold = math.log(4.0 * disc0 * P.n / eps) / (1.0 - lam)
+    return max(0, math.ceil(threshold))
 
 
 @dataclass(frozen=True)

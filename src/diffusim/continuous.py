@@ -1,17 +1,16 @@
-"""Continuous diffusion oracle and its convergence-time calculator.
+"""Continuous diffusion oracle.
 
 The continuous process is the matrix power chi_t = chi_0 . P^t; it equals
 the expected configuration of the randomized discrete process, which is why
-it serves as the oracle the simulator is measured against.
+it serves as the oracle the simulator is measured against. Its convergence
+time is analysis.convergence_time.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import NonConvergentError, ValidationError
-from .matrices import RoundMatrix, power_apply, second_eigenvalue
+from .errors import ValidationError
+from .matrices import RoundMatrix, power_apply
 
 
 def continuous_run(x0, P: RoundMatrix, T: int) -> np.ndarray:
@@ -24,25 +23,3 @@ def continuous_run(x0, P: RoundMatrix, T: int) -> np.ndarray:
     if T < 0:
         raise ValidationError(f"step count must be >= 0, got {T}")
     return power_apply(arr, P, T)
-
-
-def convergence_time(P: RoundMatrix, disc0: float, eps: float,
-                     lam: float | None = None) -> int:
-    """Steps after which the continuous diffusion is within eps of balanced.
-
-    ceil( log(4 * disc0 * N / eps) / (1 - lambda) ) with the natural log;
-    lambda is the second-largest eigenvalue magnitude, computed here when
-    not supplied. Requires a symmetric irreducible chain.
-    """
-    if disc0 <= 0:
-        raise ValidationError(f"initial discrepancy must be positive, got {disc0}")
-    if eps <= 0:
-        raise ValidationError(f"eps must be positive, got {eps}")
-    if lam is None:
-        lam = second_eigenvalue(P)
-    if lam >= 1.0:
-        raise NonConvergentError("second eigenvalue magnitude is 1; the chain does not converge")
-    if lam < 0:
-        raise ValidationError(f"lambda must be in [0, 1), got {lam}")
-    threshold = math.log(4.0 * disc0 * P.n / eps) / (1.0 - lam)
-    return max(0, math.ceil(threshold))

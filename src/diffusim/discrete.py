@@ -44,7 +44,6 @@ __all__ = [
     "LoadConfig",
     "StepTrace",
     "destination_distribution",
-    "deterministic_token_mask",
     "step_naive",
     "step_batch",
     "run",
@@ -163,20 +162,6 @@ def destination_distribution(row: RowView, x_v: int, k) -> np.ndarray:
 def _overlap(k: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray) -> np.ndarray:
     """Length of token window [k, k+1) inside interval [t_lo, t_hi), in token units."""
     return np.maximum(np.minimum(k + 1, t_hi) - np.maximum(k, t_lo), 0.0)
-
-
-def deterministic_token_mask(P: RoundMatrix, v: int, x_v: int) -> np.ndarray:
-    """True for tokens whose sampling window sits inside one row interval.
-
-    A token is non-deterministic exactly when some internal interval
-    boundary falls strictly inside its window; there are at most two such
-    tokens per row interval.
-    """
-    cuts = P.row(v).ends[:-1] * float(x_v)  # internal boundaries in token units
-    kb = np.floor(cuts)
-    mask = np.ones(x_v, dtype=bool)
-    mask[kb[cuts != kb].astype(np.int64)] = False
-    return mask
 
 
 def _draws(rngs, idx: np.ndarray, size: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, continuous, discrete, graphs, matrices
+from . import analysis, discrete, graphs, matrices
 from .errors import DiffusimError, SizeLimitError, ValidationError
 
 CSV_HEADER = "trial,t,disc,max_dev,bound_thm3,bound_thm1_or_2,viol_thm3,viol_disc"
@@ -26,6 +26,8 @@ BLOCK_ENTRIES = 2**14
 # resolve holds the oracle x0 P^t as one float64 row per recorded t: refused
 # when those rows would need more than this many bytes.
 ORACLE_BYTES_LIMIT = 2**28
+# resolve steps the oracle to T before any trial, so a larger T is refused.
+MAX_STEPS = 10**9
 
 
 @dataclass
@@ -177,7 +179,7 @@ def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
         if disc0 > 0:
             if lam is None:
                 raise ValidationError(f"steps=auto needs lambda: {unavailable['lambda']}")
-            T = continuous.convergence_time(P, disc0, 1.0, lam=lam)
+            T = analysis.convergence_time(P, disc0, 1.0, lam=lam)
 
     stride = spec.stride or max(T, 1)  # stride 0 records only t=0 and t=T
     recorded = -(-T // stride) + 1
@@ -185,6 +187,8 @@ def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
         raise SizeLimitError(
             f"{recorded} recorded steps of the n={P.n} oracle need {recorded * P.n * 8} bytes, "
             f"above the cap of {ORACLE_BYTES_LIMIT}; raise --stride or lower --steps")
+    if T > MAX_STEPS:
+        raise SizeLimitError(f"{T} steps are above the cap of {MAX_STEPS}; lower --steps")
     oracle = np.empty((recorded, P.n))
     oracle[0] = x0.loads
     for i in range(1, recorded):  # row i is t = min(i * stride, T)

@@ -9,16 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
-from . import analysis, continuous, discrete, graphs, harness, matrices
+from . import analysis, discrete, graphs, harness, matrices
 from .errors import ValidationError
 
 CHI2_P_FLOOR = 0.001
 LEMMA_SUM_TOL = 1e-9
-LEMMA_PAIRS = 2**14  # (token, row entry) pairs at most in one chunked check_step_trace pass
+LEMMA_PAIRS = 2**14  # (token, row entry) pairs at most in one side-by-side lemma pass
 PSI2_REL_TOL = 1e-9
 
 
@@ -143,83 +142,71 @@ def _dirichlet_chain_set(seed: int):
 
 def check_step_trace(P: matrices.RoundMatrix, trace: discrete.StepTrace) -> list[str]:
     """Violations of outflow, support, zero-probability routing and the
-    per-neighbor <=2 discrepancy lemma.
+    per-neighbor <=2 discrepancy lemma in one traced step on P.
 
-    One flat pass over every (token, row entry) pair of the step: a vertex
-    whose outflow differs from its load, or that has a token outside its
-    row's support, gets that one message and no further check. Messages come
-    in vertex order, and a vertex's in the order of the lemmas. The
-    per-token <=2 lemma and the bound of 2 non-deterministic tokens per
-    neighbor depend only on destination_distribution, not on where tokens
-    went, so the tests check them there. P may also be the routing arrays
-    of K steps side by side (see _first_flagged).
+    A vertex whose outflow differs from its load, or that has a token
+    outside its row's support, gets that one message and no further check.
+    Messages come in vertex order, and a vertex's in the order of the
+    lemmas. The per-token <=2 lemma and the bound of 2 non-deterministic
+    tokens per neighbor depend only on destination_distribution, not on
+    where tokens went, so the tests check them there. This is the one-step
+    case of _trace_violations.
     """
-    x, sizes = trace.loads_before, trace.counts
+    return [message for _, message in _trace_violations(P, [trace])]
+
+
+def _trace_violations(P: matrices.RoundMatrix, traces: list) -> list[tuple[int, str]]:
+    """(step, message) of every violation in consecutive traced steps on P,
+    in step order, each step's messages those check_step_trace gives it.
+
+    One flat pass over every (token, row entry) pair of the K steps, step j
+    on vertices j*n..j*n+n-1 of I_K (x) P: every check is per vertex, so
+    vertex w of the pass is vertex w % n of step w // n. Destinations are
+    compared with P's own targets, so a step's need no shift by j*n.
+    """
+    if not traces:
+        return []
+    M = discrete._tile(P, len(traces))
+    x, sizes, dest = (np.concatenate([getattr(tr, a) for tr in traces])
+                      for a in ("loads_before", "counts", "destinations"))
     outflow = sizes != x
     loads = np.where(outflow, 0, x)
-    dest = trace.destinations[np.repeat(~outflow, sizes)]
+    dest = dest[np.repeat(~outflow, sizes)]
     v, k, starts = discrete._tokens(loads)
     # the pairs of token i are the entries of its vertex's row, in row order
-    first = P.indptr[v]
-    deg = P.indptr[v + 1] - first
+    first = M.indptr[v]
+    deg = M.indptr[v + 1] - first
     tok = np.repeat(np.arange(v.size), deg)
     e = np.arange(tok.size) - np.repeat(np.cumsum(deg) - deg - first, deg)
-    load = loads[P.rows]  # scales each entry's interval into token units
-    p = discrete._overlap(k.astype(np.float64)[tok], (P.starts * load)[e], (P.ends * load)[e])
-    hit = dest[tok] == P.targets[e]   # a row's targets are distinct: at most one per token
+    load = loads[M.rows]  # scales each entry's interval into token units
+    p = discrete._overlap(k.astype(np.float64)[tok], (M.starts * load)[e], (M.ends * load)[e])
+    hit = dest[tok] == P.targets[e % P.targets.size]   # a row's targets are distinct
     gap = np.abs(hit - p)
     missed = np.bincount(tok[hit], minlength=v.size) == 0
     zero = np.bincount(tok[hit & (p <= 0.0)], minlength=v.size) > 0
-    over_nbr = np.bincount(e, gap, minlength=P.rows.size) > 2.0 + LEMMA_SUM_TOL
+    over_nbr = np.bincount(e, gap, minlength=M.rows.size) > 2.0 + LEMMA_SUM_TOL
 
     flagged = outflow.copy()
     flagged[v[missed | zero]] = True
-    flagged[P.rows[over_nbr]] = True
+    flagged[M.rows[over_nbr]] = True
     violations = []
     for w in np.flatnonzero(flagged).tolist():
+        step, u = divmod(w, P.n)
         toks = slice(starts[w], starts[w] + loads[w])
-        row = slice(P.indptr[w], P.indptr[w + 1])
+        row = slice(M.indptr[w], M.indptr[w + 1])
         if outflow[w]:
-            violations.append(f"v={w}: outflow {sizes[w]} != load {x[w]}")
+            violations.append((step, f"v={u}: outflow {sizes[w]} != load {x[w]}"))
             continue
         if missed[toks].any():
             i = int(np.argmax(missed[toks]))
-            violations.append(f"v={w} token {i}: destination {dest[toks][i]} outside row support")
+            violations.append((step, f"v={u} token {i}: destination {dest[toks][i]} outside row support"))
             continue
         if zero[toks].any():
-            violations.append(f"v={w}: tokens {np.flatnonzero(zero[toks]).tolist()} "
-                              f"routed to zero-probability targets")
+            violations.append((step, f"v={u}: tokens {np.flatnonzero(zero[toks]).tolist()} "
+                                     f"routed to zero-probability targets"))
         if over_nbr[row].any():
-            violations.append(f"v={w}: per-neighbor discrepancy sum exceeds 2")
+            violations.append((step, f"v={u}: per-neighbor discrepancy sum exceeds 2"))
     return violations
-
-
-def _first_flagged(P: matrices.RoundMatrix, traces: list) -> tuple[int, str] | None:
-    """(index, first message) of the first of consecutive traced steps on P
-    that check_step_trace flags, or None when none is.
-
-    The K steps are checked together in one pass, step b on vertices
-    b*n..b*n+n-1 of I_K (x) P. Each copy keeps P's own targets, so a step's
-    destinations are compared as they are, with no shift by b*n. Every check
-    is per vertex, so that pass flags something exactly when one of the
-    steps alone does; only then are the steps checked one at a time, for
-    the message and the step.
-    """
-    if not traces:
-        return None
-    tiled = discrete._tile(P, len(traces))
-    side_by_side = SimpleNamespace(indptr=tiled.indptr, rows=tiled.rows, starts=tiled.starts,
-                                   ends=tiled.ends, targets=np.tile(P.targets, len(traces)))
-    merged = discrete.StepTrace(*(np.concatenate([getattr(tr, a) for tr in traces])
-                                  for a in ("loads_before", "counts", "destinations")), None, None)
-    flagged = check_step_trace(side_by_side, merged)
-    if not flagged:
-        return None
-    for j, tr in enumerate(traces):
-        found = check_step_trace(P, tr)
-        if found:
-            return j, found[0]
-    return len(traces) - 1, flagged[0]  # not reached: every check is per vertex
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +345,13 @@ def suite_lemmas(seed: int = 0, min_vertex_steps: int = 100_000) -> SuiteResult:
             nxt, tr = step(cfg, P, rng, trace=True)
             if nxt.total != cfg.total or nxt.loads.min() < 0:
                 # the buffered steps came first, and so do their messages
-                found = _first_flagged(P, traces) or (len(traces), (
-                    "conservation violated" if nxt.total != cfg.total else "negative load"))
+                found = (_trace_violations(P, traces) or [(len(traces), (
+                    "conservation violated" if nxt.total != cfg.total else "negative load"))])[0]
                 break
             traces.append(tr)
             cfg = nxt
             if len(traces) == chunk or i == steps - 1:
-                found = _first_flagged(P, traces)
+                found = (_trace_violations(P, traces) or [None])[0]
                 if found:
                     break
                 vertex_steps += len(traces) * P.n
@@ -425,14 +412,14 @@ def sampler_equivalence_stats(seed: int = 0, samples: int = 10_000):
     drawing from default_rng(seed + i) (naive i = 0, batch i = 1) exactly the
     uniforms that one traced SAMPLERS call per sample would (see
     _sampler_counts). Returns (deterministic sets equal, support sets equal,
-    chi2 p-value, contingency table).
+    chi2 p-value over the cells that either sampler hit, contingency table).
     """
     P = figure_row_matrix()
     x0 = discrete.LoadConfig.from_loads([0, 0, 0, 0, 5])
     hub, x_hub = 4, 5
-    det_mask = discrete.deterministic_token_mask(P, hub, x_hub)
     row = P.row(hub)
     support = discrete.destination_distribution(row, x_hub, np.arange(x_hub)) > 0
+    det_mask = support.sum(axis=1) == 1   # one target overlaps the token's whole window
 
     counts = {}
     det_sets_equal = True
@@ -452,11 +439,16 @@ def sampler_equivalence_stats(seed: int = 0, samples: int = 10_000):
         if np.any(seen[det_mask].sum(axis=1) != 1):
             det_sets_equal = False
 
-    # chi-square homogeneity over the non-deterministic (token, target) cells
+    # chi-square homogeneity over the non-deterministic (token, target) cells;
+    # a cell that neither sampler hit has no expected count and adds no
+    # degree of freedom, and with fewer than two hit cells there is no test
     cells = support & ~det_mask[:, None]
     table = np.array([counts[s][cells] for s in ("naive", "batch")])
-    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
-    p_value = _chi2_sf(table.shape[1] - 1, float(np.sum((table - expected) ** 2 / expected)))
+    observed = table[:, table.sum(axis=0) > 0]
+    if observed.shape[1] < 2:
+        return det_sets_equal, support_sets_equal, 1.0, table
+    expected = np.outer(observed.sum(axis=1), observed.sum(axis=0)) / observed.sum()
+    p_value = _chi2_sf(observed.shape[1] - 1, float(np.sum((observed - expected) ** 2 / expected)))
     return det_sets_equal, support_sets_equal, p_value, table
 
 
@@ -587,8 +579,8 @@ def suite_prop1(seed: int = 0) -> SuiteResult:
         x0[0] = total
         disc0 = analysis.discrepancy(x0)
         for eps in (1.0, 0.1):
-            T = continuous.convergence_time(P, disc0, eps)
-            disc_T = analysis.discrepancy(continuous.continuous_run(x0, P, T))
+            T = analysis.convergence_time(P, disc0, eps)
+            disc_T = analysis.discrepancy(matrices.power_apply(x0, P, T))
             checks += 1
             if disc_T > eps:
                 failures.append(f"{name} eps={eps}: disc {disc_T:.3g} after T={T}")

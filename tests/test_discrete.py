@@ -13,8 +13,8 @@ from diffusim import (
     RoundMatrix,
     ValidationError,
     config_from_preset,
+    custom_matrix,
     destination_distribution,
-    deterministic_token_mask,
     gen_complete,
     gen_cycle,
     gen_hypercube,
@@ -44,6 +44,7 @@ from diffusim.discrete import (
 )
 from diffusim.verify import (
     LEMMA_SUM_TOL,
+    _trace_violations,
     check_step_trace,
     figure_row_matrix,
     random_connected_graph,
@@ -116,15 +117,59 @@ def test_destination_distribution_sums_to_one(seed, x_v):
         assert np.all(p >= 0)
 
 
+def _deterministic(row, x_v: int) -> np.ndarray:
+    """True for the tokens of a vertex with x_v loads whose window overlaps
+    exactly one row target, so that no draw decides them."""
+    return (destination_distribution(row, x_v, np.arange(x_v)) > 0).sum(axis=1) == 1
+
+
+def _cut_mask(row, x_v: int) -> np.ndarray:
+    """The same tokens from the row's internal cuts: token k is drawn for
+    exactly when a cut falls strictly inside its window [k, k+1)."""
+    cuts = row.ends[:-1] * float(x_v)  # internal boundaries in token units
+    kb = np.floor(cuts)
+    mask = np.ones(x_v, dtype=bool)
+    mask[kb[cuts != kb].astype(np.int64)] = False
+    return mask
+
+
 def test_deterministic_mask_figure1():
-    P = figure_row_matrix()
-    assert np.array_equal(deterministic_token_mask(P, 4, 5), [False, False, False, True, True])
+    row = figure_row_matrix().row(4)
+    assert np.array_equal(_deterministic(row, 5), [False, False, False, True, True])
 
 
 def test_all_single_loads_are_boundary(lazy_cycle16):
     # one load per vertex: every token samples the full row = a walk step
     for v in range(16):
-        assert np.array_equal(deterministic_token_mask(lazy_cycle16, v, 1), [False])
+        assert np.array_equal(_deterministic(lazy_cycle16.row(v), 1), [False])
+
+
+# probabilities below a row sum's ulp, tiny ones, and repeats
+TINY_PROBS = (1e-300, 1e-17, 1e-12, 1e-6, 0.1, 0.25, 0.25, 0.5, 1.0, 3.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_deterministic_tokens_are_the_undrawn_ones(seed):
+    # one overlapping target <=> no internal cut inside the window <=> no draw
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    entries = []
+    for v in range(n):
+        targets = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        w = rng.choice(TINY_PROBS, size=targets.size)
+        entries += [(v, int(u), p) for u, p in zip(targets, w / w.sum())]
+    P = custom_matrix(entries, n=n)
+    loads = rng.choice([0, 1, int(rng.integers(2, 3000))], size=n)
+    _, tr = step_batch(LoadConfig.from_loads(loads), P, rng, trace=True)
+    for v, drawn, dest in zip(range(n), _per_vertex(tr, tr.sampled), _per_vertex(tr, tr.destinations)):
+        row, x_v = P.row(v), int(loads[v])
+        det = _deterministic(row, x_v)
+        assert np.array_equal(det, _cut_mask(row, x_v))
+        assert np.array_equal(det, ~drawn)
+        # an undrawn token goes to its one overlapping target
+        probs = destination_distribution(row, x_v, np.flatnonzero(det))
+        assert np.array_equal(dest[det], row.targets[np.argmax(probs, axis=1)])
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +391,44 @@ def test_check_step_trace_matches_reference_loop(seed, chain, sampler, corruptio
             d = np.delete(d, i) if rng.random() < 0.5 else np.insert(d, i, d[i])
         _set_destinations(tr, v, d)
     assert check_step_trace(P, tr) == _reference_check_step_trace(P, tr)
+
+
+def _corrupted(P, tr, rng, corruptions: int):
+    """tr with the destinations of up to `corruptions` loaded vertices
+    broken in one of the ways test_check_step_trace_matches_reference_loop
+    breaks them."""
+    loaded = np.flatnonzero(tr.loads_before)
+    for v in rng.choice(loaded, size=min(corruptions, loaded.size), replace=False):
+        d = _per_vertex(tr, tr.destinations)[v].copy()
+        i, j = rng.integers(0, d.size, size=2)
+        kind = int(rng.integers(0, 3))
+        if kind == 0:    # moved to a random vertex, mostly off the row's support
+            d[i] = rng.integers(0, P.n)
+        elif kind == 1:  # two tokens swapped, often onto a zero-probability target
+            d[[i, j]] = d[[j, i]]
+        else:            # a token dropped or duplicated: outflow != load
+            d = np.delete(d, i) if rng.random() < 0.5 else np.insert(d, i, d[i])
+        _set_destinations(tr, v, d)
+    return tr
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), chain=st.sampled_from(sorted(TRACE_CHAINS)),
+       sampler=st.sampled_from(["naive", "batch"]), steps=st.sampled_from([1, 2, 5]),
+       corruptions=st.integers(0, 3))
+def test_trace_violations_side_by_side_match_step_by_step(seed, chain, sampler, steps, corruptions):
+    # K steps checked in one pass give each step's own messages, in step order
+    rng = np.random.default_rng(seed)
+    P = TRACE_CHAINS[chain](int(rng.integers(2, 12)), rng)
+    cfg = random_config(P.n, int(rng.integers(0, 20 * P.n)), seed)
+    traces = []
+    for _ in range(steps):
+        cfg, tr = SAMPLERS[sampler](cfg, P, rng, trace=True)
+        traces.append(_corrupted(P, tr, rng, int(rng.integers(0, corruptions + 1))))
+    got = _trace_violations(P, traces)
+    assert got == [(j, m) for j, tr in enumerate(traces) for m in check_step_trace(P, tr)]
+    assert got == [(j, m) for j, tr in enumerate(traces) for m in _reference_check_step_trace(P, tr)]
+    assert _trace_violations(P, []) == []
 
 
 ROUTER_CHAINS = {

@@ -535,6 +535,27 @@ def test_cli_oracle_above_size_cap_exit_2(tmp_path, args):
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_cli_steps_above_cap_exit_2(tmp_path):
+    # at stride 0 the oracle has two rows, and only the step cap stops one
+    # power_apply call of T steps that would not end
+    proc = subprocess.run([sys.executable, "-m", "diffusim", "simulate", "--graph", "cycle:8",
+                           "--steps", "99999999999999999999", "--stride", "0",
+                           "--out", str(tmp_path / "o.csv")],
+                          env=_src_env(), capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2
+    assert proc.stderr == ("diffusim: error: 99999999999999999999 steps are above the cap of "
+                           "1000000000; lower --steps\n")
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_resolve_step_cap_boundary(monkeypatch):
+    monkeypatch.setattr(harness, "MAX_STEPS", 10)
+    spec = ExperimentSpec(graph="cycle:8", loads="point:100", stride=0)
+    assert resolve(dataclasses.replace(spec, steps="10")).T == 10
+    with pytest.raises(SizeLimitError, match="^11 steps are above the cap of 10; lower --steps$"):
+        resolve(dataclasses.replace(spec, steps="11"))
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
 def test_resolve_holds_only_what_the_cap_counts():
     # the cap counts one float64 row per recorded step: resolve's peak RSS and
