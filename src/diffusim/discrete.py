@@ -14,13 +14,14 @@ from outside input reject totals above MAX_TOTAL.
 Two samplers are first-class:
 
 * step_naive draws one uniform per token (the literal algorithm);
-* step_batch moves every token whose window sits inside one row interval
-  in bulk, without a draw, and draws only for the boundary tokens, whose
-  window holds one or more internal cuts (at most two such tokens per row
-  interval). This is distributionally identical. One routing path serves
-  both trace settings: one uniform per boundary token, by vertex and then
-  token index, from a single generator call per step. trace=True records
-  the same draws, so tracing never changes the next configuration.
+* step_batch draws only for the boundary tokens, whose window holds one or
+  more interval ends (cuts), and counts the tokens each row entry receives:
+  the tokens at or left of a cut number its whole part, plus one if its
+  token's draw falls below the fraction. This is distributionally
+  identical. One routing path serves both trace settings: one uniform per
+  boundary token, by vertex and then token index, from a single generator
+  call per step. trace=True records the same draws, so tracing never
+  changes the next configuration.
 
 ALGORITHMS maps each algorithm that simulate runs to a block stepper
 factory: alg2-naive and alg2-batch (the two samplers), the deterministic
@@ -176,49 +177,49 @@ def _draws(rngs, idx: np.ndarray, size: int) -> np.ndarray:
 
 
 def _route(loads: np.ndarray, P, rngs):
-    """step_batch's routing of one round: (interior, k, u, e).
+    """step_batch's routing of one round: (counts, k, u, e).
 
-    Entry i's interval [starts[i], ends[i]), times its row's load, is [lo, hi)
-    in token units; interior[i] counts the windows [k, k+1) inside it. Boundary
-    token k of vertex P.rows[e] drew u and goes to entry e, in row-major order.
-    P is a RoundMatrix, or B copies tiled by _tile with B*n loads; the uniforms
-    fill one buffer, trial b's slice in one rngs[b].random call. One generator
-    may also serve all B copies: its one call then draws every copy's
-    uniforms in copy order, which is the stream B successive one-copy rounds
-    consume, since PCG64 spends one output per double. Raw interior
-    floor(hi) - ceil(lo) < 0 <=> two cuts in one window (the interval's ends):
-    only then does a token straddle several cuts and the cuts get grouped.
+    Entry i of vertex v's row ends at hi_i = ends[i] * x_v in token units.
+    The tokens that go to entry i or an earlier entry of the row number
+    C_i = floor(hi_i) + [u < hi_i - floor(hi_i)], where u is the draw of the
+    token whose window [k, k+1) holds that cut; a whole hi_i, as at every
+    row's last end, gives C_i = hi_i. Entry i receives counts[i] =
+    C_i - C_{i-1} tokens (C = 0 before a row's first entry), whole numbers in
+    float64. A window holding several cuts is one token with one draw: drawn
+    token k of vertex P.rows[e] drew u, and e is its window's first cut, in
+    row-major order. P is a RoundMatrix, or B copies tiled by _tile with B*n
+    loads; the uniforms fill one buffer, trial b's slice in one
+    rngs[b].random call. One generator may also serve all B copies: its one
+    call then draws every copy's uniforms in copy order, which is the stream
+    B successive one-copy rounds consume, since PCG64 spends one output per
+    double.
     """
-    x = loads.astype(np.float64)[P.rows]
-    hi = P.ends * x
-    flo = np.floor(hi)
-    interior = flo - np.ceil(P.starts * x)
-    straddle = np.minimum.reduce(interior) < 0.0
-    np.maximum(interior, 0.0, out=interior)
-    e = (hi != flo).nonzero()[0]  # cuts inside a window; a row's last end x_v is whole
-    cut = hi[e]
-    k = np.floor(cut)
+    hi = loads.astype(np.float64)[P.rows]
+    hi *= P.ends
+    c = np.floor(hi)
+    cuts = (hi != c).nonzero()[0]  # ends inside a window; a row's last end x_v is whole
+    k = c[cuts]
+    cut = hi[cuts]
     cut -= k                       # the cut's offset in token k's window
-    size = P.rows.size // len(rngs)
-    if not straddle:
-        u = _draws(rngs, e, size)
-        return interior, k, u, e + (u >= cut)
-    # a token straddling several cuts draws once and goes left of the first
-    # cut above u, or right of its last cut
-    v = P.rows[e]
-    start = np.concatenate(([True], (v[1:] != v[:-1]) | (k[1:] != k[:-1])))
-    first = start.nonzero()[0]
-    u = _draws(rngs, e[first], size)
-    below = cut <= u[start.cumsum() - 1]
-    return interior, k[first], u, e[first] + np.add.reduceat(below, first)
+    shared = (c[1:] == c[:-1])[cuts]   # entry cuts + 1, in the same row, is a cut in the same window
+    e, token, drawn = cuts, slice(None), slice(None)  # cut j reads the draw of token[j]
+    if np.logical_or.reduce(shared):
+        drawn = np.concatenate(([True], ~shared[:-1]))  # each window's first cut
+        e, token = cuts[drawn], drawn.cumsum() - 1
+    u = _draws(rngs, e, P.rows.size // len(rngs))
+    # C at the cuts, then its differences, in the buffers of cut and hi: a
+    # round of a large block allocates less, so it faults in fewer pages
+    c[cuts] = np.add(k, cut > u[token], out=cut)
+    counts = hi
+    np.subtract(c[1:], c[:-1], out=counts[1:])
+    counts[P.indptr[:-1]] = c[P.indptr[:-1]]
+    return counts, k[drawn], u, e
 
 
-def _scatter(targets: np.ndarray, interior: np.ndarray, dest: np.ndarray, size: int) -> np.ndarray:
-    """New loads: each entry's interior tokens plus the boundary tokens at dest
-    (float sums of whole numbers up to MAX_TOTAL, so exact)."""
-    new = np.bincount(targets, weights=interior, minlength=size)
-    new += np.bincount(dest, minlength=size)
-    return new.astype(np.int64)
+def _scatter(targets: np.ndarray, counts: np.ndarray, size: int) -> np.ndarray:
+    """New loads: each entry's counts summed onto its target (float sums of
+    whole numbers up to MAX_TOTAL, so exact)."""
+    return np.bincount(targets, weights=counts, minlength=size).astype(np.int64)
 
 
 def _tile(P: RoundMatrix, B: int):
@@ -277,31 +278,29 @@ def step_batch(x: LoadConfig, P: RoundMatrix, rng, trace: bool = False):
     if x.n != P.n:
         raise ValidationError(f"config has {x.n} vertices, matrix has {P.n}")
     loads = x.loads
-    interior, k, u, e = _route(loads, P, (rng,))
-    cfg = _conserved(_scatter(P.targets, interior, P.targets[e], P.n), x.total)
+    counts, k, u, e = _route(loads, P, (rng,))
+    cfg = _conserved(_scatter(P.targets, counts, P.n), x.total)
     if not trace:
         return cfg
-    return cfg, StepTrace(loads, loads, *_token_routes(loads, P, interior, k, u, e))
+    return cfg, StepTrace(loads, loads, *_token_routes(loads, P, counts, k, u, e))
 
 
-def _token_routes(loads: np.ndarray, P, interior, k, u, e):
+def _token_routes(loads: np.ndarray, P, counts, k, u, e):
     """(destinations, sampled, r_values) of a round that _route routed, per
     token, vertex by vertex: StepTrace's fields. P and loads are those given
     to _route, so a block of B copies tiled by _tile gives copy b's tokens
-    after copy b-1's, with targets shifted by b*n."""
+    after copy b-1's, with targets shifted by b*n. Within a row k + u grows
+    with k, so the row's tokens fill its entries in row order, counts[i] to
+    entry i."""
     ends = loads.cumsum()
     at = (ends - loads)[P.rows[e]] + k.astype(np.int64)  # flat position of each draw
     size = int(ends[-1])
     sampled = np.zeros(size, dtype=bool)
     sampled[at] = True
-    dests = np.empty(size, dtype=np.int64)
-    dests[at] = P.targets[e]
-    # the other tokens fill each interval's whole windows in row order
-    dests[~sampled] = P.targets.repeat(interior.astype(np.int64))
     r = np.empty(size)
     r.fill(np.nan)
     r[at] = k + u
-    return dests, sampled, r
+    return P.targets.repeat(counts.astype(np.int64)), sampled, r
 
 
 def step_naive(x: LoadConfig, P: RoundMatrix, rng, trace: bool = False):
@@ -355,8 +354,7 @@ def _batch_block(P: RoundMatrix, g, rngs):
     M, rngs = _tile(P, len(rngs)), tuple(rngs)
 
     def step(loads: np.ndarray) -> np.ndarray:
-        interior, _, _, e = _route(loads, M, rngs)
-        return _scatter(M.targets, interior, M.targets[e], loads.size)
+        return _scatter(M.targets, _route(loads, M, rngs)[0], loads.size)
 
     return step
 

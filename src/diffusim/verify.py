@@ -479,9 +479,9 @@ def _sampler_counts(sampler: str, P: matrices.RoundMatrix, x0: discrete.LoadConf
             new = np.bincount(dests, minlength=b * n)
             draws += b
         else:
-            interior, k, u, e = discrete._route(loads, M, (rng,))
-            new = discrete._scatter(M.targets, interior, M.targets[e], b * n)
-            dests, sampled, _ = discrete._token_routes(loads, M, interior, k, u, e)
+            counts, k, u, e = discrete._route(loads, M, (rng,))
+            new = discrete._scatter(M.targets, counts, b * n)
+            dests, sampled, _ = discrete._token_routes(loads, M, counts, k, u, e)
             draws += sampled.reshape(b, m).sum(axis=0)
         new = new.reshape(b, n)
         got, least = new.sum(axis=1), new.min(axis=1)

@@ -38,6 +38,7 @@ from diffusim.discrete import (
     _scatter,
     _tile,
     _token_dests,
+    _token_routes,
     _tokens,
     loads_text,
     parse_loads_text,
@@ -522,16 +523,21 @@ def test_naive_trace_stream_pinned(lazy_cycle16):
     assert h.hexdigest() == "3c02f5c0af4df339c89902d802b6e732b1d3211a75f005c758905f94f2d4d3e2"
 
 
-def test_batch_stream_pinned_without_shared_cuts():
-    # about 64 tokens per vertex on a 10-entry row: no token straddles two
-    # cuts, so this pins the one-cut branch of the untraced stream
-    P = lazy_rw_matrix(gen_hypercube(9))
-    cfg = random_config(512, 32768, 7)
+@pytest.mark.parametrize("P, cfg, digest", [
+    # about 64 tokens per vertex on a 10-entry row: no window holds two cuts
+    (lazy_rw_matrix(gen_hypercube(9)), random_config(512, 32768, 7),
+     "67dfe3b706967c346adc65f144d9d3e6e605165c567449c4271aec0a8c74f0a2"),
+    # the hub's 64-entry row: every round some window holds several cuts
+    (metropolis_matrix(gen_star(64)), random_config(64, 2048, 3),
+     "61ffba187638317edcbc805dce67be8545defe3df1f340674aa071a001222e9b"),
+], ids=["hypercube:9", "star:64"])
+def test_batch_stream_pinned(P, cfg, digest):
+    # golden digest of the untraced stream after 200 rounds, with and
+    # without windows that group several cuts under one draw
     rng = np.random.default_rng(1)
     for _ in range(200):
         cfg = step_batch(cfg, P, rng)
-    digest = hashlib.sha256(cfg.loads.tobytes()).hexdigest()
-    assert digest == "67dfe3b706967c346adc65f144d9d3e6e605165c567449c4271aec0a8c74f0a2"
+    assert hashlib.sha256(cfg.loads.tobytes()).hexdigest() == digest
 
 
 def _reference_route(loads, P, rngs, n):
@@ -594,13 +600,24 @@ def test_route_and_scatter_match_the_reference_formula(seed, B):
     M = _tile(P, B)
     mine = [np.random.default_rng([seed, b]) for b in range(B)]
     ref = [np.random.default_rng([seed, b]) for b in range(B)]
-    interior, k, u, e = _route(loads, M, mine)
+    counts, k, u, e = _route(loads, M, mine)
     r_interior, r_v, r_k, r_u, r_e = _reference_route(loads, M, ref, P.n)
-    for got, want in ((interior, r_interior), (M.rows[e], r_v), (k, r_k), (u, r_u), (e, r_e)):
+    assert np.array_equal(counts, r_interior + np.bincount(r_e, minlength=M.rows.size))
+    for got, want in ((M.rows[e], r_v), (k, r_k), (u, r_u)):
         assert np.array_equal(got, want)
-    assert np.array_equal(_scatter(M.targets, interior, M.targets[e], loads.size),
+    assert np.array_equal(_scatter(M.targets, counts, loads.size),
                           _reference_scatter(M.targets, r_interior, M.targets[r_e], loads.size))
     assert [g.random() for g in mine] == [g.random() for g in ref]
+    # per token: drawn tokens go to r_e, the others fill each entry's whole
+    # windows in row order
+    dests, sampled, _ = _token_routes(loads, M, counts, k, u, e)
+    r_sampled = np.zeros(dests.size, dtype=bool)
+    r_sampled[(np.cumsum(loads) - loads)[r_v] + r_k.astype(np.int64)] = True
+    r_dests = np.empty(dests.size, dtype=np.int64)
+    r_dests[r_sampled] = M.targets[r_e]
+    r_dests[~r_sampled] = M.targets.repeat(r_interior.astype(np.int64))
+    assert np.array_equal(sampled, r_sampled)
+    assert np.array_equal(dests, r_dests)
 
 
 def test_edge_case_matrices_reach_the_straddle_branch():

@@ -97,8 +97,8 @@ def test_sampler_equivalence_blocks_match_per_call_loop(seed):
 def test_sampler_equivalence_block_that_breaks_a_copy_raises(monkeypatch, kind, message, block, copy):
     real, calls = discrete._scatter, [0]
 
-    def faulty(targets, interior, dest, size):
-        new = real(targets, interior, dest, size)
+    def faulty(targets, counts, size):
+        new = real(targets, counts, size)
         if calls[0] == block:
             loads = new[copy * FIG.n:(copy + 1) * FIG.n]
             if kind == "lose":
