@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Time the sampler round layer by layer and print one JSON line.
+
+    python3 scripts/bench_round.py
+
+The process pins itself to one CPU, the first one it may use, builds every
+case below, then times the cases in interleaved repeats (each repeat times
+every case once, so a drift in CPU speed reaches all cases alike) and prints
+the median microseconds per call over the repeats:
+
+  block_us        one round of alg2-batch's block stepper
+                  (discrete._batch_block) on a block of B trials, stepped
+                  from the same loads every call:
+                    spectral-setup  hypercube:9 lazy-rw, B = 3, random:32768:1
+                    oracle-gap      cycle:64 lazy-rw, B = 8, point:1000 after
+                                    300 rounds
+                    hypercube:12    lazy-rw, B = 1, random:262144:1
+                    cycle:4096      lazy-rw, B = 1, uniform:4096 (one token a
+                                    vertex: every window holds two cuts)
+                    star:2048       metropolis, B = 2, random:32768:1
+                    star:50         metropolis, B = 40, point:3
+  step_batch_us   one one-trial step_batch call on cycle:n lazy-rw from
+  step_naive_us   uniform:16n, n = 64, 1024 and 16384.
+
+spectral-setup and oracle-gap are the blocks those perfbench workloads step.
+"""
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from diffusim import discrete, harness  # noqa: E402
+
+REPEATS = 11
+TARGET_S = 0.05  # each timing runs about this long
+
+BLOCKS = {  # name: (graph, matrix, B, loads, rounds stepped before timing)
+    "spectral-setup": ("hypercube:9", "lazy-rw", 3, "random:32768:1", 0),
+    "oracle-gap": ("cycle:64", "lazy-rw", 8, "point:1000", 300),
+    "hypercube:12": ("hypercube:12", "lazy-rw", 1, "random:262144:1", 0),
+    "cycle:4096": ("cycle:4096", "lazy-rw", 1, "uniform:4096", 0),
+    "star:2048": ("star:2048", "metropolis", 2, "random:32768:1", 0),
+    "star:50": ("star:50", "metropolis", 40, "point:3", 0),
+}
+STEP_SIZES = (64, 1024, 16384)
+
+
+def block_case(graph: str, matrix: str, B: int, preset: str, warm: int):
+    g = harness.build_graph(graph)
+    P = harness.build_matrix(matrix, g)
+    step = discrete._batch_block(P, g, [harness.trial_rng(1, b) for b in range(B)])
+    loads = np.tile(harness.build_loads(preset, P.n).loads, B)
+    for _ in range(warm):
+        loads = step(loads)
+    return lambda: step(loads)
+
+
+def step_case(sampler, n: int):
+    P = harness.build_matrix("lazy-rw", harness.build_graph(f"cycle:{n}"))
+    x, rng = discrete.uniform_config(n, 16 * n), np.random.default_rng(1)
+    return lambda: sampler(x, P, rng)
+
+
+def calls_per_timing(fn) -> int:
+    t = time.perf_counter()
+    fn()
+    return max(1, int(TARGET_S / max(time.perf_counter() - t, 1e-7)))
+
+
+def main() -> int:
+    cpu = min(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})
+    np.empty(1 << 19)  # keeps the rounds' temporaries on the heap, as simulate does (harness._block_rows)
+    cases = {("block_us", name): block_case(*spec) for name, spec in BLOCKS.items()}
+    for key, sampler in (("step_batch_us", discrete.step_batch), ("step_naive_us", discrete.step_naive)):
+        cases.update({(key, str(n)): step_case(sampler, n) for n in STEP_SIZES})
+    calls = {key: calls_per_timing(fn) for key, fn in cases.items()}
+    times = {key: [] for key in cases}
+    for _ in range(REPEATS):
+        for key, fn in cases.items():
+            t = time.perf_counter()
+            for _ in range(calls[key]):
+                fn()
+            times[key].append((time.perf_counter() - t) / calls[key] * 1e6)
+    out = {"python": platform.python_version(), "numpy": np.__version__, "cpu": cpu, "repeats": REPEATS}
+    for (group, name), ts in times.items():
+        out.setdefault(group, {})[name] = round(statistics.median(ts), 2)
+    print(json.dumps(out))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,13 +15,13 @@ Two samplers are first-class:
 
 * step_naive draws one uniform per token (the literal algorithm);
 * step_batch draws only for the boundary tokens, whose window holds one or
-  more interval ends (cuts), and counts the tokens each row entry receives:
-  the tokens at or left of a cut number its whole part, plus one if its
-  token's draw falls below the fraction. This is distributionally
-  identical. One routing path serves both trace settings: one uniform per
-  boundary token, by vertex and then token index, from a single generator
-  call per step. trace=True records the same draws, so tracing never
-  changes the next configuration.
+  more interval ends (cuts), and counts the tokens each row entry receives,
+  over every entry at once: the tokens at or left of an end number its whole
+  part, plus one if the draw of the token whose window holds it falls below
+  its fraction. This is distributionally identical. One routing path serves
+  both trace settings: one uniform per boundary token, by vertex and token
+  index, in one generator call per step; trace=True reads each drawn token's
+  index off its window's first cut, so it never changes the next round.
 
 ALGORITHMS maps each algorithm that simulate runs to a block stepper
 factory: alg2-naive and alg2-batch (the two samplers), the deterministic
@@ -177,43 +177,41 @@ def _draws(rngs, idx: np.ndarray, size: int) -> np.ndarray:
 
 
 def _route(loads: np.ndarray, P, rngs):
-    """step_batch's routing of one round: (counts, k, u, e).
+    """step_batch's routing of one round: (counts, u, e).
 
     Entry i of vertex v's row ends at hi_i = ends[i] * x_v in token units.
     The tokens that go to entry i or an earlier entry of the row number
-    C_i = floor(hi_i) + [u < hi_i - floor(hi_i)], where u is the draw of the
-    token whose window [k, k+1) holds that cut; a whole hi_i, as at every
-    row's last end, gives C_i = hi_i. Entry i receives counts[i] =
-    C_i - C_{i-1} tokens (C = 0 before a row's first entry), whole numbers in
-    float64. A window holding several cuts is one token with one draw: drawn
-    token k of vertex P.rows[e] drew u, and e is its window's first cut, in
-    row-major order. P is a RoundMatrix, or B copies tiled by _tile with B*n
-    loads; the uniforms fill one buffer, trial b's slice in one
-    rngs[b].random call. One generator may also serve all B copies: its one
-    call then draws every copy's uniforms in copy order, which is the stream
-    B successive one-copy rounds consume, since PCG64 spends one output per
-    double.
+    C_i = floor(hi_i) + [u < hi_i - floor(hi_i)] (a whole hi_i, as at every
+    row's last end, gives hi_i), u being the draw of the token whose window
+    [k, k+1) holds that cut. Entry i receives counts[i] = C_i - C_{i-1}
+    tokens (C = 0 before a row's first entry), whole floats. A window
+    holding several cuts is one token with one draw: token k = floor(hi_e)
+    of vertex P.rows[e] drew u, e being its window's first cut, in row-major
+    order. P is a RoundMatrix, or B copies tiled by _tile with B*n loads;
+    trial b's uniforms are one rngs[b].random call. One generator may serve
+    all B copies: its one call draws what B successive one-copy rounds
+    would, since PCG64 spends one output per double.
     """
     hi = loads.astype(np.float64)[P.rows]
     hi *= P.ends
     c = np.floor(hi)
-    cuts = (hi != c).nonzero()[0]  # ends inside a window; a row's last end x_v is whole
-    k = c[cuts]
-    cut = hi[cuts]
-    cut -= k                       # the cut's offset in token k's window
-    shared = (c[1:] == c[:-1])[cuts]   # entry cuts + 1, in the same row, is a cut in the same window
-    e, token, drawn = cuts, slice(None), slice(None)  # cut j reads the draw of token[j]
-    if np.logical_or.reduce(shared):
-        drawn = np.concatenate(([True], ~shared[:-1]))  # each window's first cut
-        e, token = cuts[drawn], drawn.cumsum() - 1
+    frac = np.subtract(hi, c, out=hi)  # exact: 0 at a whole end, else the cut's offset in its window
+    drawn = frac > 0
+    c1, c0 = c[1:], c[:-1]
+    later = drawn[:-1] & (c1 == c0)    # entry i + 1 is a cut in entry i's window
+    np.greater(drawn[1:], later, out=drawn[1:])
+    e = drawn.nonzero()[0]
     u = _draws(rngs, e, P.rows.size // len(rngs))
-    # C at the cuts, then its differences, in the buffers of cut and hi: a
-    # round of a large block allocates less, so it faults in fewer pages
-    c[cuts] = np.add(k, cut > u[token], out=cut)
-    counts = hi
-    np.subtract(c[1:], c[:-1], out=counts[1:])
+    # each cut's frac - u (a later cut's u is its window's): both in [0, 1), so ceil is [frac > u]
+    np.subtract.at(frac, e, u)
+    if np.logical_or.reduce(later):
+        j = later.nonzero()[0] + 1
+        np.subtract.at(frac, j, u[e.searchsorted(j) - 1])
+    c += np.ceil(frac, out=frac)
+    counts = frac
+    np.subtract(c1, c0, out=counts[1:])
     counts[P.indptr[:-1]] = c[P.indptr[:-1]]
-    return counts, k[drawn], u, e
+    return counts, u, e
 
 
 def _scatter(targets: np.ndarray, counts: np.ndarray, size: int) -> np.ndarray:
@@ -278,22 +276,24 @@ def step_batch(x: LoadConfig, P: RoundMatrix, rng, trace: bool = False):
     if x.n != P.n:
         raise ValidationError(f"config has {x.n} vertices, matrix has {P.n}")
     loads = x.loads
-    counts, k, u, e = _route(loads, P, (rng,))
+    counts, u, e = _route(loads, P, (rng,))
     cfg = _conserved(_scatter(P.targets, counts, P.n), x.total)
     if not trace:
         return cfg
-    return cfg, StepTrace(loads, loads, *_token_routes(loads, P, counts, k, u, e))
+    return cfg, StepTrace(loads, loads, *_token_routes(loads, P, counts, u, e))
 
 
-def _token_routes(loads: np.ndarray, P, counts, k, u, e):
+def _token_routes(loads: np.ndarray, P, counts, u, e):
     """(destinations, sampled, r_values) of a round that _route routed, per
     token, vertex by vertex: StepTrace's fields. P and loads are those given
-    to _route, so a block of B copies tiled by _tile gives copy b's tokens
-    after copy b-1's, with targets shifted by b*n. Within a row k + u grows
-    with k, so the row's tokens fill its entries in row order, counts[i] to
-    entry i."""
+    to _route (copy b of a _tile block after copy b-1, targets shifted by
+    b*n). Within a row k + u grows with k: tokens fill entries in row order."""
+    v = P.rows[e]
+    k = P.ends[e]                  # drawn token k: floor of the product _route formed at e
+    k *= loads[v]
+    np.floor(k, out=k)
     ends = loads.cumsum()
-    at = (ends - loads)[P.rows[e]] + k.astype(np.int64)  # flat position of each draw
+    at = (ends - loads)[v] + k.astype(np.int64)  # flat position of each draw
     size = int(ends[-1])
     sampled = np.zeros(size, dtype=bool)
     sampled[at] = True

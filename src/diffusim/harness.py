@@ -335,7 +335,8 @@ def bounds_report(graph_spec: str, matrix_kind: str) -> list[str]:
         lines.append(f"bound_thm2={analysis.bound_theorem2(g.d_max, P.n):.10g}")
     if psi2 is not None and P.n >= 2:
         lines.append(f"bound_thm3={analysis.bound_theorem3(psi2, P.n):.10g}")
-        lines.append(f"bound_thm5={analysis.bound_theorem5(psi2, P.n):.10g}")
+        if P.symmetric and P.irreducible:  # Theorem 5's hypothesis
+            lines.append(f"bound_thm5={analysis.bound_theorem5(psi2, P.n):.10g}")
     lines.append("log_convention=natural")
     return lines
 

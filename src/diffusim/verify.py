@@ -235,7 +235,7 @@ def suite_dirichlet(seed: int = 0) -> SuiteResult:
         f = pi[:, None, None] * Y[:, :t_top + 1] / pi  # f[w, t] = P^t[., w] by reversibility
         diffs = f[..., P.rows] - f[..., P.targets]
         terms = diffs * diffs * (pi[P.rows] * P.probs)
-        lhs = 0.5 * np.array([np.sum(row) for row in terms.reshape(-1, P.rows.size)])
+        lhs = 0.5 * np.array([np.add.reduce(row) for row in terms.reshape(-1, P.rows.size)])
         diag = Y[np.arange(n), :, np.arange(n)]        # diag[w, t] = P^t[w, w]
         rhs = pi[:, None] * (diag[:, :2 * t_top + 1:2] - diag[:, 1::2])
         gap = np.abs(lhs.reshape(rhs.shape) - rhs)
@@ -479,9 +479,9 @@ def _sampler_counts(sampler: str, P: matrices.RoundMatrix, x0: discrete.LoadConf
             new = np.bincount(dests, minlength=b * n)
             draws += b
         else:
-            counts, k, u, e = discrete._route(loads, M, (rng,))
+            counts, u, e = discrete._route(loads, M, (rng,))
             new = discrete._scatter(M.targets, counts, b * n)
-            dests, sampled, _ = discrete._token_routes(loads, M, counts, k, u, e)
+            dests, sampled, _ = discrete._token_routes(loads, M, counts, u, e)
             draws += sampled.reshape(b, m).sum(axis=0)
         new = new.reshape(b, n)
         got, least = new.sum(axis=1), new.min(axis=1)

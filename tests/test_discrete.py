@@ -600,7 +600,8 @@ def test_route_and_scatter_match_the_reference_formula(seed, B):
     M = _tile(P, B)
     mine = [np.random.default_rng([seed, b]) for b in range(B)]
     ref = [np.random.default_rng([seed, b]) for b in range(B)]
-    counts, k, u, e = _route(loads, M, mine)
+    counts, u, e = _route(loads, M, mine)
+    k = np.floor(loads[M.rows[e]] * M.ends[e])  # drawn token k, as traced callers read it
     r_interior, r_v, r_k, r_u, r_e = _reference_route(loads, M, ref, P.n)
     assert np.array_equal(counts, r_interior + np.bincount(r_e, minlength=M.rows.size))
     for got, want in ((M.rows[e], r_v), (k, r_k), (u, r_u)):
@@ -610,7 +611,7 @@ def test_route_and_scatter_match_the_reference_formula(seed, B):
     assert [g.random() for g in mine] == [g.random() for g in ref]
     # per token: drawn tokens go to r_e, the others fill each entry's whole
     # windows in row order
-    dests, sampled, _ = _token_routes(loads, M, counts, k, u, e)
+    dests, sampled, _ = _token_routes(loads, M, counts, u, e)
     r_sampled = np.zeros(dests.size, dtype=bool)
     r_sampled[(np.cumsum(loads) - loads)[r_v] + r_k.astype(np.int64)] = True
     r_dests = np.empty(dests.size, dtype=np.int64)
@@ -631,6 +632,56 @@ def test_edge_case_matrices_reach_the_straddle_branch():
         cuts = np.count_nonzero(np.floor(P.ends * loads[P.rows]) != P.ends * loads[P.rows])
         grouped += _route(loads, P, (rng,))[1].size < cuts
     assert grouped > 5
+
+
+class _ChosenDraws:
+    """A generator stub that hands out chosen doubles in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None, out=None):
+        size = size if out is None else out.size
+        got, self.values = np.array(self.values[:size], dtype=np.float64), self.values[size:]
+        if got.size < size:
+            raise AssertionError("stub ran out of chosen draws")
+        if out is None:
+            return got
+        out[...] = got
+        return out
+
+
+def _chosen_matrix():
+    # row 0 ends at 0.25, 0.75, 1; row 1's middle entry has zero width (ends
+    # 0.5, 0.5, 1); row 2's first entry has probability 1e-17 (ends 1e-17,
+    # 0.25, 1). A row runs over its neighbours ascending, then itself.
+    probs = [[0.25, 0.5, 0.25], [0.5, 1e-17, 0.5], [1e-17, 0.25, 0.75]]
+    targets = [[u for u in range(3) if u != v] + [v] for v in range(3)]
+    P = RoundMatrix.from_entries(3, np.arange(3).repeat(3), np.ravel(targets), np.ravel(probs))
+    assert P.ends.tolist() == [0.25, 0.75, 1.0, 0.5, 0.5, 1.0, 1e-17, 0.25, 1.0]
+    return P
+
+
+@pytest.mark.parametrize("loads, draws", [
+    ([[3, 0, 0]], [[0.75, 0.25]]),   # each draw equals its cut's fraction
+    ([[1, 0, 0]], [[0.25]]),         # one window, two cuts: the draw equals the first's fraction
+    ([[1, 0, 0]], [[0.75]]),         # ... and the later cut's
+    ([[3, 2, 5]], [[0.0] * 4]),      # draws of 0.0, one below a fraction of 5e-17
+    ([[0, 3, 1]], [[0.5, 5e-18]]),   # cuts in a zero-width entry and in a 1e-17 entry
+    ([[1, 3, 0], [3, 0, 5]], [[0.3, 0.6], [0.75, 0.1, 0.0, 0.9]]),  # grouped trial, ungrouped trial
+], ids=["equal", "equal-first-of-two", "equal-later-of-two", "zero", "zero-width", "mixed-block"])
+def test_route_matches_the_reference_formula_on_chosen_draws(loads, draws):
+    # the edges random uniforms never hit: the same counts and draws as the
+    # direct formula, each trial using up exactly its chosen draws
+    P = _chosen_matrix()
+    M, flat = _tile(P, len(loads)), np.concatenate(loads)
+    mine, ref = [_ChosenDraws(d) for d in draws], [_ChosenDraws(d) for d in draws]
+    counts, u, e = _route(flat, M, mine)
+    r_interior, r_v, r_k, r_u, r_e = _reference_route(flat, M, ref, P.n)
+    assert np.array_equal(counts, r_interior + np.bincount(r_e, minlength=M.rows.size))
+    assert np.array_equal(M.rows[e], r_v)
+    assert np.array_equal(u, r_u)
+    assert [g.values for g in mine] == [g.values for g in ref] == [[]] * len(loads)
 
 
 def test_independence_of_token_destinations():

@@ -256,7 +256,7 @@ def test_lockstep_multi_straddle_happens():
     # all 40 tokens sit on the centre, so its row holds every cut of round 1;
     # fewer boundary tokens than cuts means some token straddles several
     P = build_matrix("metropolis", build_graph("star:50"))
-    _, _, u, _ = discrete._route(build_loads("point:40", 50).loads, P, (np.random.default_rng(0),))
+    _, u, _ = discrete._route(build_loads("point:40", 50).loads, P, (np.random.default_rng(0),))
     cuts = np.flatnonzero(P.ends[P.indptr[0]:P.indptr[1]] * 40 % 1)
     assert 0 < u.size < cuts.size
 
@@ -471,8 +471,12 @@ def test_cli_simulate_non_reversible_matrix_file(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "bound_thm3=8.989852931" in lines
     assert not [ln for ln in lines if ln.startswith(("bound_thm1=", "bound_thm2="))]
+    # nor Theorem 5, whose chain must be symmetric
+    assert not [ln for ln in lines if ln.startswith("bound_thm5=")]
     assert main(["bounds", "--graph", "complete:3"]) == 0
-    assert "bound_thm1=26.68146853" in capsys.readouterr().out.splitlines()
+    lines = capsys.readouterr().out.splitlines()
+    assert "bound_thm1=26.68146853" in lines
+    assert "bound_thm5=19.48538958" in lines
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])
