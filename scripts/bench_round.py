@@ -6,7 +6,7 @@
 The process pins itself to one CPU, the first one it may use, builds every
 case below, then times the cases in interleaved repeats (each repeat times
 every case once, so a drift in CPU speed reaches all cases alike) and prints
-the median microseconds per call over the repeats:
+the median microseconds per call (per round for block_rows_us) over the repeats:
 
   block_us        one round of alg2-batch's block stepper
                   (discrete._batch_block) on a block of B trials, stepped
@@ -21,8 +21,18 @@ the median microseconds per call over the repeats:
                     star:50         metropolis, B = 40, point:3
   step_batch_us   one one-trial step_batch call on cycle:n lazy-rw from
   step_naive_us   uniform:16n, n = 64, 1024 and 16384.
+  block_rows_us   one round of harness._block_rows (the lockstep trial
+                  loop: checks, records and CSV lines, plus the alg2-batch
+                  stepper), a whole block of T + 1 rounds per call:
+                    oracle-gap      cycle:64 lazy-rw, B = 8, point:1000,
+                                    T = 5173 (auto), stride 0
+                    spectral-setup  hypercube:9 lazy-rw, B = 3,
+                                    random:32768:1, T = 200, stride 1
+                    criterion-3     cycle:64 lazy-rw, B = 85, point:1000,
+                                    T = 5173 (auto), stride 0
 
-spectral-setup and oracle-gap are the blocks those perfbench workloads step.
+spectral-setup and oracle-gap are the blocks those perfbench workloads step;
+criterion-3 is a full block of the acceptance run's 200 trials.
 """
 import json
 import os
@@ -50,6 +60,11 @@ BLOCKS = {  # name: (graph, matrix, B, loads, rounds stepped before timing)
     "star:50": ("star:50", "metropolis", 40, "point:3", 0),
 }
 STEP_SIZES = (64, 1024, 16384)
+BLOCK_ROWS = {  # name: the spec of one block, its trials being B
+    "oracle-gap": dict(graph="cycle:64", loads="point:1000", stride=0, trials=8, seed=1),
+    "spectral-setup": dict(graph="hypercube:9", loads="random:32768:1", steps="200", trials=3, seed=1),
+    "criterion-3": dict(graph="cycle:64", loads="point:1000", stride=0, trials=85, seed=11),
+}
 
 
 def block_case(graph: str, matrix: str, B: int, preset: str, warm: int):
@@ -68,6 +83,11 @@ def step_case(sampler, n: int):
     return lambda: sampler(x, P, rng)
 
 
+def block_rows_case(**spec):
+    res = harness.resolve(harness.ExperimentSpec(**spec))
+    return lambda: harness._block_rows(res, 0, spec["trials"]), res.T + 1
+
+
 def calls_per_timing(fn) -> int:
     t = time.perf_counter()
     fn()
@@ -78,17 +98,18 @@ def main() -> int:
     cpu = min(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {cpu})
     np.empty(1 << 19)  # keeps the rounds' temporaries on the heap, as simulate does (harness._block_rows)
-    cases = {("block_us", name): block_case(*spec) for name, spec in BLOCKS.items()}
+    cases = {("block_us", name): (block_case(*spec), 1) for name, spec in BLOCKS.items()}
     for key, sampler in (("step_batch_us", discrete.step_batch), ("step_naive_us", discrete.step_naive)):
-        cases.update({(key, str(n)): step_case(sampler, n) for n in STEP_SIZES})
-    calls = {key: calls_per_timing(fn) for key, fn in cases.items()}
+        cases.update({(key, str(n)): (step_case(sampler, n), 1) for n in STEP_SIZES})
+    cases.update({("block_rows_us", name): block_rows_case(**spec) for name, spec in BLOCK_ROWS.items()})
+    calls = {key: calls_per_timing(fn) for key, (fn, _) in cases.items()}
     times = {key: [] for key in cases}
     for _ in range(REPEATS):
-        for key, fn in cases.items():
+        for key, (fn, rounds) in cases.items():
             t = time.perf_counter()
             for _ in range(calls[key]):
                 fn()
-            times[key].append((time.perf_counter() - t) / calls[key] * 1e6)
+            times[key].append((time.perf_counter() - t) / (calls[key] * rounds) * 1e6)
     out = {"python": platform.python_version(), "numpy": np.__version__, "cpu": cpu, "repeats": REPEATS}
     for (group, name), ts in times.items():
         out.setdefault(group, {})[name] = round(statistics.median(ts), 2)

@@ -9,7 +9,6 @@ size nor --jobs (which maps blocks onto processes) changes a byte.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,14 +19,20 @@ from . import analysis, discrete, graphs, matrices
 from .errors import DiffusimError, SizeLimitError, ValidationError
 
 CSV_HEADER = "trial,t,disc,max_dev,bound_thm3,bound_thm1_or_2,viol_thm3,viol_disc"
-# Trials step in lockstep blocks of max(1, BLOCK_ENTRIES // nnz) trials, so
-# the routing arrays of a block (I_B (x) P) stay cache-resident.
+# Trials step in lockstep blocks of B = max(1, BLOCK_ENTRIES // nnz) trials:
+# spectral-setup's 32 trials on hypercube:9 ran within ~5 % of each other from
+# B = 3 to B = 25 and about 25 % slower at B = 1. A block checks and records
+# its rounds K = max(1, BLOCK_ENTRIES // (B * n)) at a time, from a buffer of
+# at most BLOCK_ENTRIES int64 loads (128 KiB) when B * n fits.
 BLOCK_ENTRIES = 2**14
 # resolve holds the oracle x0 P^t as one float64 row per recorded t: refused
 # when those rows would need more than this many bytes.
 ORACLE_BYTES_LIMIT = 2**28
 # resolve steps the oracle to T before any trial, so a larger T is refused.
 MAX_STEPS = 10**9
+# simulate lists its blocks of trials before the first one runs, and --jobs
+# submits them all to the pool at once, so a larger trial count is refused.
+MAX_TRIALS = 10**6
 
 
 @dataclass
@@ -153,6 +158,8 @@ def _available(name: str, quantity, P: matrices.RoundMatrix, unavailable: dict[s
 def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
     if spec.trials < 1:
         raise ValidationError(f"trials must be >= 1, got {spec.trials}")
+    if spec.trials > MAX_TRIALS:
+        raise SizeLimitError(f"{spec.trials} trials are above the cap of {MAX_TRIALS}; lower --trials")
     if spec.stride < 0:
         raise ValidationError(f"stride must be >= 0, got {spec.stride}")
     if spec.jobs < 1:
@@ -220,11 +227,22 @@ def _fmt(x: float | None) -> str:
 
 def _block_rows(res: ResolvedExperiment, first: int, stop: int) -> list[str]:
     """CSV lines of trials first..stop-1, stepped in lockstep: one string of
-    rows per trial, in trial order."""
-    B, n, total = stop - first, res.matrix.n, res.x0.total
+    rows per trial, in trial order.
+
+    Each round's loads go into a buffer of K rounds, and every K rounds (and
+    at T) the buffered rounds are checked and recorded together. Every round
+    checks the block's least load, since no stepper may see a negative load,
+    and the block's total: either ends the chunk there, so no load outgrows
+    B times a trial's total. A token moved between two trials is found when
+    the chunk is checked. The error names the earliest step, and in it the
+    first trial, whose total or least load is off.
+    """
+    B, n, total, T, stride = stop - first, res.matrix.n, res.x0.total, res.T, res.stride
+    block_total = B * total
     rngs = [trial_rng(res.spec.seed, trial) for trial in range(first, stop)]
     step = discrete.ALGORITHMS[res.spec.algorithm](res.matrix, res.graph, rngs)
     recorded = len(res.oracle)
+    ts = np.minimum(np.arange(recorded) * stride, T)  # the step of each recorded row
     disc = np.empty((B, recorded), dtype=np.int64)
     dev = np.empty((B, recorded))
     loads = np.tile(res.x0.loads, B)
@@ -238,28 +256,36 @@ def _block_rows(res: ResolvedExperiment, first: int, stop: int) -> list[str]:
     # mmapped block raises the mmap threshold to its size and the trim
     # threshold to twice that for the life of the process, so this 4 MiB
     # block, allocated and freed untouched in every process (--jobs workers
-    # too) before its first round, keeps the rounds' temporaries on the heap.
+    # too) before its first round, keeps the rounds' temporaries and the
+    # buffer (up to 128 KiB) on the heap.
     np.empty(1 << 19)
-    for t in range(res.T + 1):
-        if t:
-            loads = step(loads)
-        X = loads.reshape(B, n)
-        sums = np.add.reduce(X, axis=1)
-        if np.minimum.reduce(loads) < 0 or np.logical_or.reduce(sums != total):
-            b = int(np.flatnonzero((sums != total) | (X.min(axis=1) < 0))[0])
-            raise ValidationError(f"trial {first + b}, step {t}: total {int(sums[b])} "
-                                  f"(expected {total}), least load {int(X[b].min())}")
-        if t % res.stride and t != res.T:
-            continue
-        i = -(-t // res.stride)
-        disc[:, i] = X.max(axis=1) - X.min(axis=1)
-        dev[:, i] = np.abs(X - res.oracle[i]).max(axis=1)
-    ts = [min(i * res.stride, res.T) for i in range(recorded)]
+    buffer = np.empty((max(1, BLOCK_ENTRIES // loads.size), loads.size), dtype=np.int64)
+    for t0 in range(0, T + 1, len(buffer)):
+        rounds = buffer[:T + 1 - t0]
+        for t, row in zip(range(t0, T + 1), rounds):
+            if t:
+                loads = step(loads)
+            row[...] = loads
+            if np.minimum.reduce(loads) < 0 or np.add.reduce(loads) != block_total:
+                rounds = rounds[:t - t0 + 1]
+                break
+        X = rounds.reshape(len(rounds), B, n)  # (round, trial, vertex)
+        sums = np.add.reduce(X, axis=2)
+        if np.logical_or.reduce(sums != total, axis=None) or np.minimum.reduce(loads) < 0:
+            s, b = np.argwhere((sums != total) | (X.min(axis=2) < 0))[0].tolist()
+            raise ValidationError(f"trial {first + b}, step {t0 + s}: total {int(sums[s, b])} "
+                                  f"(expected {total}), least load {int(X[s, b].min())}")
+        t1 = t0 + len(rounds)
+        i0, i1 = -(-t0 // stride), recorded if t1 > T else -(-t1 // stride)  # rows of steps t0..t1-1
+        if i0 < i1:
+            R = X[ts[i0:i1] - t0]
+            disc[:, i0:i1] = (R.max(axis=2) - R.min(axis=2)).T
+            dev[:, i0:i1] = np.abs(R - res.oracle[i0:i1, None]).max(axis=2).T
     viol3 = np.full((B, recorded), "") if res.bound3 is None else (dev > res.bound3).astype(np.int8)
     viol_disc = np.full((B, recorded), "") if res.bound12 is None else (disc > res.bound12).astype(np.int8)
-    bounds = f"{_fmt(res.bound3)},{_fmt(res.bound12)}"
+    bounds, steps = f"{_fmt(res.bound3)},{_fmt(res.bound12)}", ts.tolist()
     return ["".join(f"{first + b},{t},{d},{e:.10g},{bounds},{v3},{vd}\n" for t, d, e, v3, vd
-                    in zip(ts, disc[b].tolist(), dev[b].tolist(), viol3[b].tolist(), viol_disc[b].tolist()))
+                    in zip(steps, disc[b].tolist(), dev[b].tolist(), viol3[b].tolist(), viol_disc[b].tolist()))
             for b in range(B)]
 
 
@@ -293,6 +319,8 @@ def simulate_to_csv(spec: ExperimentSpec, out: str | Path,
             f.write("\n".join(header) + "\n")
             # chain lets go of each block's lines before it asks for the next block
             if spec.jobs > 1 and len(firsts) > 1:  # one block runs on one worker: skip the pool
+                import concurrent.futures  # here: only the pool needs it, and it loads logging
+
                 with concurrent.futures.ProcessPoolExecutor(max_workers=min(spec.jobs, len(firsts))) as pool:
                     f.writelines(itertools.chain.from_iterable(pool.map(_block_rows, *blocks)))
             else:

@@ -323,6 +323,77 @@ def test_lockstep_names_the_trial_that_went_negative(monkeypatch, tmp_path):
     assert not out.exists()
 
 
+CHUNK_SPECS = {
+    "stride-0": ExperimentSpec(graph="cycle:16", loads="point:160", steps="40", stride=0,
+                               trials=3, seed=9),
+    "stride-1": ExperimentSpec(graph="cycle:16", loads="point:160", steps="25", stride=1,
+                               trials=3, seed=10),
+    # blocks of 2, 2 and 1 trials at BLOCK_ENTRIES = 100
+    "multi-block": ExperimentSpec(graph="cycle:16", loads="point:160", steps="30", stride=7,
+                                  trials=5, seed=11),
+}
+
+
+@pytest.mark.parametrize("name", list(CHUNK_SPECS))
+def test_chunked_rounds_keep_the_bytes(monkeypatch, name, tmp_path):
+    # a block checks and records K = max(1, BLOCK_ENTRIES // (B * n)) rounds
+    # at a time: cycle:16 has n = 16 and 48 entries, so BLOCK_ENTRIES = 1
+    # gives K = 1, 100 gives K = 3 or 6 (chunks that do not divide T + 1),
+    # and the default one chunk of every round
+    csvs = []
+    for entries in (1, 100, harness.BLOCK_ENTRIES):
+        monkeypatch.setattr(harness, "BLOCK_ENTRIES", entries)
+        out = tmp_path / f"{entries}.csv"
+        simulate_to_csv(CHUNK_SPECS[name], out)
+        csvs.append(out.read_bytes())
+    assert csvs[1:] == csvs[:1] * 2
+
+
+@pytest.mark.parametrize("faults, message, rounds", [
+    # trial 2 loses a token at step 3: the block's total is off, so the block stops there
+    ([(3, 2, "lose")], r"trial 2, step 3: total 159 \(expected 160\), least load 0", 3),
+    # a token moves from trial 2 to trial 0 at step 3: the block's total is
+    # kept, so the chunk of all 9 rounds is checked after step 8
+    ([(3, 2, "lose"), (3, 0, "gain")], r"trial 0, step 3: total 161 \(expected 160\), least load 0", 8),
+    # a negative load at step 5 stops the block, and the buffered move comes first
+    ([(2, 1, "lose"), (2, 2, "gain"), (5, 0, "negative")],
+     r"trial 1, step 2: total 159 \(expected 160\), least load 0", 5),
+    # in one step, the first trial that is off is named
+    ([(2, 2, "lose"), (2, 0, "negative")], r"trial 0, step 2: total 160 \(expected 160\), least load -1", 2),
+])
+def test_chunk_names_the_earliest_bad_round(monkeypatch, tmp_path, faults, message, rounds):
+    # the messages are those the round-by-round check gave; faults are
+    # (step, trial, kind) in one block of 3 trials on cycle:16, and rounds
+    # is how many rounds the block steps before it stops
+    real = discrete.ALGORITHMS["alg2-batch"]
+    stepped = []
+
+    def faulty(P, g, rngs):
+        step = real(P, g, rngs)
+
+        def faulty_step(loads):
+            new = step(loads)
+            stepped.append(None)
+            for t, trial, kind in faults:
+                x = new[trial * P.n:(trial + 1) * P.n]
+                if t == len(stepped) and kind in ("lose", "gain"):
+                    x[int(np.argmax(x))] += 1 if kind == "gain" else -1
+                elif t == len(stepped):  # a token off an empty vertex: the total is kept
+                    v = int(np.argmin(x))
+                    x[v] -= 1
+                    x[(v + 1) % P.n] += 1
+            return new
+
+        return faulty_step
+
+    monkeypatch.setitem(discrete.ALGORITHMS, "alg2-batch", faulty)
+    spec = ExperimentSpec(graph="cycle:16", loads="point:160", steps="8", trials=3, seed=1)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        simulate_to_csv(spec, tmp_path / "o.csv")
+    assert len(stepped) == rounds
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_trial_rng_is_stable():
     a = trial_rng(42, 3).random(4)
     b = trial_rng(42, 3).random(4)
@@ -552,6 +623,26 @@ def test_cli_steps_above_cap_exit_2(tmp_path):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_trials_above_cap_exit_2(tmp_path, capsys, jobs):
+    # simulate lists every block before the first runs (--jobs submits them
+    # all to the pool), so such a count died on a bare MemoryError
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--graph", "cycle:8", "--steps", "3", "--trials", "99999999999999999999",
+                 "--jobs", jobs, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("diffusim: error: 99999999999999999999 trials are above the cap "
+                                       "of 1000000; lower --trials\n")
+    assert not out.exists()
+
+
+def test_resolve_trial_cap_boundary(monkeypatch):
+    monkeypatch.setattr(harness, "MAX_TRIALS", 10)
+    spec = ExperimentSpec(graph="cycle:8", loads="point:100", steps="3")
+    assert resolve(dataclasses.replace(spec, trials=10)).spec.trials == 10
+    with pytest.raises(SizeLimitError, match="^11 trials are above the cap of 10; lower --trials$"):
+        resolve(dataclasses.replace(spec, trials=11))
+
+
 def test_resolve_step_cap_boundary(monkeypatch):
     monkeypatch.setattr(harness, "MAX_STEPS", 10)
     spec = ExperimentSpec(graph="cycle:8", loads="point:100", stride=0)
@@ -679,6 +770,23 @@ def test_cli_simulate_symmetric_chains_loads_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
+
+
+def test_cli_simulate_without_a_pool_loads_no_pool_modules(tmp_path):
+    # concurrent.futures costs ~4-6 ms at import after numpy and loads logging
+    # with it; only --jobs > 1 over several blocks starts a process pool
+    args = ["simulate", "--graph", "cycle:64", "--loads", "point:100", "--steps", "3",
+            "--trials", "200", "--jobs", "1", "--out", str(tmp_path / "o.csv")]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys\n"
+         "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'logging'))\n"
+         "import diffusim.harness\nprint(loaded())\n"
+         f"from diffusim import cli\nprint(cli.main({args!r}), loaded())\n"],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "[]"
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc malloc thresholds")

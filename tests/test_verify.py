@@ -203,6 +203,16 @@ def _per_step_lemmas(seed: int, min_vertex_steps: int):
     {2 * CHUNK - 1: "lose"},
     {CHUNK + 3: "misroute", CHUNK + 5: "lose"},       # the buffered misroute comes first
     {CHUNK + 5: "negative"},
+    # fixed steps that do not follow LEMMA_PAIRS: at 2**14 - 512 (CHUNK = 33)
+    # 34 and 67 are the second step of the second and third chunks, with one
+    # step buffered before them, and 37, 39 and 51 lie inside the second chunk
+    {34: "misroute"},
+    {51: "misroute"},
+    {67: "misroute"},
+    {34: "lose"},
+    {67: "lose"},
+    {37: "misroute", 39: "lose"},
+    {39: "negative"},
 ], ids=str)
 def test_lemma_suite_first_violation_matches_per_step_loop(monkeypatch, faults):
     real = discrete.SAMPLERS["batch"]
