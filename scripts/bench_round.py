@@ -33,16 +33,28 @@ the median microseconds per call (per round for block_rows_us) over the repeats:
 
 spectral-setup and oracle-gap are the blocks those perfbench workloads step;
 criterion-3 is a full block of the acceptance run's 200 trials.
+
+It also prints, as process_ms, the median milliseconds of one fresh
+interpreter (on the same CPU, with PYTHONPATH=src) that runs
+`import diffusim.cli`, timed once in every repeat:
+
+  code            from spawning it to the end of its code: interpreter and
+                  site start, importing numpy and diffusim (compiling
+                  diffusim's sources too when it has no valid byte code,
+                  as under PYTHONDONTWRITEBYTECODE=1 without __pycache__)
+  exit            from there until it has exited: interpreter shutdown
 """
 import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+sys.path.insert(0, SRC)
 
 import numpy as np  # noqa: E402
 
@@ -65,6 +77,7 @@ BLOCK_ROWS = {  # name: the spec of one block, its trials being B
     "spectral-setup": dict(graph="hypercube:9", loads="random:32768:1", steps="200", trials=3, seed=1),
     "criterion-3": dict(graph="cycle:64", loads="point:1000", stride=0, trials=85, seed=11),
 }
+PROCESS_CODE = "import time\nimport diffusim.cli\nprint(time.monotonic())"
 
 
 def block_case(graph: str, matrix: str, B: int, preset: str, warm: int):
@@ -88,6 +101,18 @@ def block_rows_case(**spec):
     return lambda: harness._block_rows(res, 0, spec["trials"]), res.T + 1
 
 
+def process_ms() -> tuple[float, float]:
+    """One fresh interpreter that imports diffusim.cli: ms from its spawn to
+    the end of its code, and from there to its exit (CLOCK_MONOTONIC is one
+    clock for every process)."""
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, "-c", PROCESS_CODE], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, check=True)
+    t2 = time.monotonic()
+    t1 = float(proc.stdout)
+    return (t1 - t0) * 1e3, (t2 - t1) * 1e3
+
+
 def calls_per_timing(fn) -> int:
     t = time.perf_counter()
     fn()
@@ -97,22 +122,25 @@ def calls_per_timing(fn) -> int:
 def main() -> int:
     cpu = min(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {cpu})
-    np.empty(1 << 19)  # keeps the rounds' temporaries on the heap, as simulate does (harness._block_rows)
     cases = {("block_us", name): (block_case(*spec), 1) for name, spec in BLOCKS.items()}
     for key, sampler in (("step_batch_us", discrete.step_batch), ("step_naive_us", discrete.step_naive)):
         cases.update({(key, str(n)): (step_case(sampler, n), 1) for n in STEP_SIZES})
     cases.update({("block_rows_us", name): block_rows_case(**spec) for name, spec in BLOCK_ROWS.items()})
     calls = {key: calls_per_timing(fn) for key, (fn, _) in cases.items()}
     times = {key: [] for key in cases}
+    processes = []
     for _ in range(REPEATS):
         for key, (fn, rounds) in cases.items():
             t = time.perf_counter()
             for _ in range(calls[key]):
                 fn()
             times[key].append((time.perf_counter() - t) / (calls[key] * rounds) * 1e6)
+        processes.append(process_ms())
     out = {"python": platform.python_version(), "numpy": np.__version__, "cpu": cpu, "repeats": REPEATS}
     for (group, name), ts in times.items():
         out.setdefault(group, {})[name] = round(statistics.median(ts), 2)
+    out["process_ms"] = {name: round(statistics.median(ts), 2)
+                         for name, ts in zip(("code", "exit"), zip(*processes))}
     print(json.dumps(out))
     return 0
 

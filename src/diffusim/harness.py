@@ -206,13 +206,16 @@ def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
     bound3 = None if psi2 is None or P.n < 2 else analysis.bound_theorem3(psi2, P.n)
 
     bound12, bound12_name = None, ""
-    if spec.matrix in _GRAPH_CHAINS and P.n >= 2:
-        if spec.matrix == "lazy-rw":
-            bound12 = analysis.bound_theorem1(g.regular_degree(), P.n)
-            bound12_name = "thm1"
-        else:
-            bound12 = analysis.bound_theorem2(g.d_max, P.n)
-            bound12_name = "thm2"
+    if spec.matrix not in _GRAPH_CHAINS:
+        unavailable["bound_thm1_or_2"] = "Theorems 1 and 2 bound only a graph's lazy-rw and metropolis chains"
+    elif P.n < 2:
+        unavailable["bound_thm1_or_2"] = f"Theorems 1 and 2 need n >= 2, got n={P.n}"
+    elif spec.matrix == "lazy-rw":
+        bound12 = analysis.bound_theorem1(g.regular_degree(), P.n)
+        bound12_name = "thm1"
+    else:
+        bound12 = analysis.bound_theorem2(g.d_max, P.n)
+        bound12_name = "thm2"
 
     return ResolvedExperiment(
         spec=spec, graph=g, matrix=P, x0=x0, T=T, stride=stride,
@@ -246,19 +249,6 @@ def _block_rows(res: ResolvedExperiment, first: int, stop: int) -> list[str]:
     disc = np.empty((B, recorded), dtype=np.int64)
     dev = np.empty((B, recorded))
     loads = np.tile(res.x0.loads, B)
-    # glibc's malloc serves a request above its mmap threshold (128 KiB at
-    # start) by mmap, and gives the heap top back to the system whenever more
-    # than its trim threshold (also 128 KiB) is free there. A round's
-    # temporaries are tens of KiB, up to BLOCK_ENTRIES doubles, so unless
-    # set-up happened to free a large array first, every round they were
-    # trimmed off the heap top and faulted in again: 190-270 page faults a
-    # round on hypercube:9 with B = 3, at half the stepping speed. Freeing an
-    # mmapped block raises the mmap threshold to its size and the trim
-    # threshold to twice that for the life of the process, so this 4 MiB
-    # block, allocated and freed untouched in every process (--jobs workers
-    # too) before its first round, keeps the rounds' temporaries and the
-    # buffer (up to 128 KiB) on the heap.
-    np.empty(1 << 19)
     buffer = np.empty((max(1, BLOCK_ENTRIES // loads.size), loads.size), dtype=np.int64)
     for t0 in range(0, T + 1, len(buffer)):
         rounds = buffer[:T + 1 - t0]

@@ -17,9 +17,10 @@ from .errors import ValidationError
 
 CHI2_P_FLOOR = 0.001
 LEMMA_SUM_TOL = 1e-9
-# (token, row entry) pairs at most in one side-by-side lemma pass: its float64
-# temporaries stay just under glibc's 128 KiB mmap threshold, so they come
-# from the heap and are not mapped, faulted in and unmapped every pass
+# (token, row entry) pairs at most in one side-by-side lemma pass: it bounds a
+# pass's memory, each float64 temporary staying under 128 KiB, far below the
+# 1 MiB mmap threshold that importing the package sets, so the temporaries
+# come from the heap and are not mapped and faulted in again every pass
 LEMMA_PAIRS = 2**14 - 512
 PSI2_REL_TOL = 1e-9
 

@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import diffusim
 from diffusim import Graph, gen_complete, gen_cycle, lazy_rw_matrix
 
 
@@ -62,3 +66,9 @@ def assert_valid_graph(g: Graph):
                     nxt.append(v)
         frontier = nxt
     assert len(seen) == g.n
+
+
+def src_env() -> dict[str, str]:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(diffusim.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -1,7 +1,6 @@
 import concurrent.futures
 import dataclasses
 import hashlib
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +27,8 @@ from diffusim.harness import (
     trial_rng,
 )
 from diffusim.verify import SUITES, SuiteResult
+
+from conftest import src_env
 
 
 def _run(spec: ExperimentSpec, directory: Path) -> tuple[list[str], list[str]]:
@@ -535,6 +536,8 @@ def test_cli_simulate_non_reversible_matrix_file(tmp_path, capsys):
                  "--steps", "5", "--out", str(out)]) == 0
     assert capsys.readouterr().err.splitlines() == [
         "diffusim: lambda unavailable: second_eigenvalue requires a symmetric matrix",
+        "diffusim: bound_thm1_or_2 unavailable: Theorems 1 and 2 bound only a graph's lazy-rw and "
+        "metropolis chains",
     ]
     assert "# lambda= psi2=2.14422507 bound_thm3=8.989852931 bound_thm1_or_2=" in out.read_text()
     # Theorems 1 and 2 speak of the graph's own chains: bounds names neither for this file: chain
@@ -604,7 +607,7 @@ def test_cli_oracle_above_size_cap_exit_2(tmp_path, args):
     # refused before the oracle is allocated or stepped, so within seconds
     proc = subprocess.run([sys.executable, "-m", "diffusim", "simulate", *args,
                            "--out", str(tmp_path / "o.csv")],
-                          env=_src_env(), capture_output=True, text=True, timeout=20)
+                          env=src_env(), capture_output=True, text=True, timeout=20)
     assert proc.returncode == 2
     assert "above the cap of 268435456; raise --stride" in proc.stderr
     assert not (tmp_path / "o.csv").exists()
@@ -616,7 +619,7 @@ def test_cli_steps_above_cap_exit_2(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "diffusim", "simulate", "--graph", "cycle:8",
                            "--steps", "99999999999999999999", "--stride", "0",
                            "--out", str(tmp_path / "o.csv")],
-                          env=_src_env(), capture_output=True, text=True, timeout=20)
+                          env=src_env(), capture_output=True, text=True, timeout=20)
     assert proc.returncode == 2
     assert proc.stderr == ("diffusim: error: 99999999999999999999 steps are above the cap of "
                            "1000000000; lower --steps\n")
@@ -667,7 +670,7 @@ before = peak()
 res = resolve(ExperimentSpec(graph="cycle:8", loads="point:100", steps="200000", stride=1))
 print(peak() - before, len(pickle.dumps(res)))
 """
-    proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+    proc = subprocess.run([sys.executable, "-c", script], env=src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     grown, pickled = map(int, proc.stdout.split())
@@ -689,7 +692,7 @@ def test_simulate_peak_rss_does_not_grow_with_trials(tmp_path):
         proc = subprocess.run([sys.executable, "-c", script, "simulate", "--graph", "cycle:64",
                                "--loads", "point:1000", "--steps", "500", "--stride", "1",
                                "--trials", trials, "--out", str(tmp_path / "o.csv")],
-                              env=_src_env(), capture_output=True, text=True, timeout=120)
+                              env=src_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         code, peak = proc.stdout.splitlines()[-1].split()
         assert code == "0"
@@ -705,7 +708,7 @@ def test_cli_out_in_missing_directory_exit_2(tmp_path, args):
     # refused before resolve and before any round, so within seconds
     out = tmp_path / "missing" / "o.csv"
     proc = subprocess.run([sys.executable, "-m", "diffusim", "simulate", *args, "--out", str(out)],
-                          env=_src_env(), capture_output=True, text=True, timeout=20)
+                          env=src_env(), capture_output=True, text=True, timeout=20)
     assert proc.returncode == 2
     assert f"output directory {str(out.parent)!r} does not exist" in proc.stderr
     assert not out.parent.exists()
@@ -737,18 +740,12 @@ def test_cli_oversize_total_exit_2(tmp_path, capsys, graph, loads):
     assert "exceeds 2**53" in capsys.readouterr().err
 
 
-def _src_env() -> dict[str, str]:
-    """The environment with this checkout's package first on PYTHONPATH."""
-    src = str(Path(diffusim.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-
 def test_cli_oversize_total_exit_2_under_optimize(tmp_path):
     # python -O strips assert statements; the cap must hold without them
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "diffusim", "simulate", "--graph", "cycle:8",
          "--loads", "point:9007199254740999", "--steps", "3", "--out", str(tmp_path / "o.csv")],
-        env=_src_env(), capture_output=True, text=True, timeout=120,
+        env=src_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 2, proc.stderr
     assert "exceeds 2**53" in proc.stderr
@@ -766,7 +763,7 @@ def test_cli_simulate_symmetric_chains_loads_no_scipy(tmp_path):
         [sys.executable, "-c", "import sys; from diffusim import cli; "
          f"codes = [cli.main(args) for args in {runs!r}]; "
          "print(codes, sorted(m for m in sys.modules if m.startswith('scipy')))"],
-        env=_src_env(), capture_output=True, text=True, timeout=120,
+        env=src_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
@@ -782,7 +779,7 @@ def test_cli_simulate_without_a_pool_loads_no_pool_modules(tmp_path):
          "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'logging'))\n"
          "import diffusim.harness\nprint(loaded())\n"
          f"from diffusim import cli\nprint(cli.main({args!r}), loaded())\n"],
-        env=_src_env(), capture_output=True, text=True, timeout=120,
+        env=src_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "[]"
@@ -803,7 +800,7 @@ def test_block_rounds_do_not_fault_the_heap_in_again():
         "faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
         "harness._block_rows(res, 0, 3)\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)\n")
-    proc = subprocess.run([sys.executable, "-c", script], env=_src_env(), capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", script], env=src_env(), capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 5 * 200
@@ -961,7 +958,7 @@ def test_cli_reversible_chains_load_no_scipy_sparse(tmp_path):
         [sys.executable, "-c", "import sys; from diffusim import cli; "
          f"codes = [cli.main(args) for args in {runs!r}]; "
          "print(codes, sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"],
-        env=_src_env(), capture_output=True, text=True, timeout=120,
+        env=src_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert "psi2_bound_reversible=5.590240644" in proc.stdout
