@@ -21,6 +21,12 @@ the median microseconds per call (per round for block_rows_us) over the repeats:
                     star:50         metropolis, B = 40, point:3
   step_batch_us   one one-trial step_batch call on cycle:n lazy-rw from
   step_naive_us   uniform:16n, n = 64, 1024 and 16384.
+  verify_us       one one-trial round of the kinds `diffusim verify` runs
+                  tens of thousands of:
+                    expectation     step_naive on complete:3 lazy-rw from
+                                    [30, 0, 0] (the expectation suite)
+                    lemmas          step_batch with trace=True on cycle:16
+                                    lazy-rw from point:160 (the lemma suite)
   block_rows_us   one round of harness._block_rows (the lockstep trial
                   loop: checks, records and CSV lines, plus the alg2-batch
                   stepper), a whole block of T + 1 rounds per call:
@@ -72,6 +78,10 @@ BLOCKS = {  # name: (graph, matrix, B, loads, rounds stepped before timing)
     "star:50": ("star:50", "metropolis", 40, "point:3", 0),
 }
 STEP_SIZES = (64, 1024, 16384)
+VERIFY_ROUNDS = {  # name: (graph, loads, sampler, trace)
+    "expectation": ("complete:3", [30, 0, 0], discrete.step_naive, False),
+    "lemmas": ("cycle:16", [160] + [0] * 15, discrete.step_batch, True),
+}
 BLOCK_ROWS = {  # name: the spec of one block, its trials being B
     "oracle-gap": dict(graph="cycle:64", loads="point:1000", stride=0, trials=8, seed=1),
     "spectral-setup": dict(graph="hypercube:9", loads="random:32768:1", steps="200", trials=3, seed=1),
@@ -94,6 +104,12 @@ def step_case(sampler, n: int):
     P = harness.build_matrix("lazy-rw", harness.build_graph(f"cycle:{n}"))
     x, rng = discrete.uniform_config(n, 16 * n), np.random.default_rng(1)
     return lambda: sampler(x, P, rng)
+
+
+def verify_case(graph: str, loads: list, sampler, trace: bool):
+    P = harness.build_matrix("lazy-rw", harness.build_graph(graph))
+    x, rng = discrete.LoadConfig.from_loads(loads), np.random.default_rng(1)
+    return lambda: sampler(x, P, rng, trace=trace)
 
 
 def block_rows_case(**spec):
@@ -125,6 +141,7 @@ def main() -> int:
     cases = {("block_us", name): (block_case(*spec), 1) for name, spec in BLOCKS.items()}
     for key, sampler in (("step_batch_us", discrete.step_batch), ("step_naive_us", discrete.step_naive)):
         cases.update({(key, str(n)): (step_case(sampler, n), 1) for n in STEP_SIZES})
+    cases.update({("verify_us", name): (verify_case(*spec), 1) for name, spec in VERIFY_ROUNDS.items()})
     cases.update({("block_rows_us", name): block_rows_case(**spec) for name, spec in BLOCK_ROWS.items()})
     calls = {key: calls_per_timing(fn) for key, (fn, _) in cases.items()}
     times = {key: [] for key in cases}

@@ -32,6 +32,7 @@ generator exactly as it would alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from types import SimpleNamespace
 from typing import Callable
 
@@ -120,9 +121,9 @@ def _conserved(new: np.ndarray, total: int) -> LoadConfig:
     """
     if new.dtype != np.int64:
         raise ValidationError(f"step produced {new.dtype} loads, expected int64")
-    got = int(np.add.reduce(new))
+    got = np.add.reduce(new)
     if got != total:
-        raise ValidationError(f"step produced total {got}, expected {total}")
+        raise ValidationError(f"step produced total {int(got)}, expected {total}")
     if np.minimum.reduce(new) < 0:
         raise ValidationError("loads must be nonnegative")
     new.flags.writeable = False
@@ -165,12 +166,13 @@ def _overlap(k: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray) -> np.ndarray:
     return np.maximum(np.minimum(k + 1, t_hi) - np.maximum(k, t_lo), 0.0)
 
 
-def _draws(rngs, idx: np.ndarray, size: int) -> np.ndarray:
+def _draws(rngs, idx: np.ndarray, edges) -> np.ndarray:
     """One uniform per entry of idx, a sorted flat index in which trial b owns
-    b*size..b*size+size-1: trial b's slice of one buffer, in one rngs[b] call."""
+    edges[b]..edges[b+1]-1: trial b's slice of one buffer, in one rngs[b] call.
+    One generator needs no edges (None)."""
     if len(rngs) == 1:
         return rngs[0].random(idx.size)
-    u, bounds = np.empty(idx.size), idx.searchsorted(size * np.arange(len(rngs) + 1)).tolist()
+    u, bounds = np.empty(idx.size), idx.searchsorted(edges).tolist()
     for rng, a, b in zip(rngs, bounds, bounds[1:]):
         rng.random(out=u[a:b])
     return u
@@ -201,7 +203,7 @@ def _route(loads: np.ndarray, P, rngs):
     later = drawn[:-1] & (c1 == c0)    # entry i + 1 is a cut in entry i's window
     np.greater(drawn[1:], later, out=drawn[1:])
     e = drawn.nonzero()[0]
-    u = _draws(rngs, e, P.rows.size // len(rngs))
+    u = _draws(rngs, e, P.edges if len(rngs) > 1 else None)
     # each cut's frac - u (a later cut's u is its window's): both in [0, 1), so ceil is [frac > u]
     np.subtract.at(frac, e, u)
     if np.logical_or.reduce(later):
@@ -210,7 +212,8 @@ def _route(loads: np.ndarray, P, rngs):
     c += np.ceil(frac, out=frac)
     counts = frac
     np.subtract(c1, c0, out=counts[1:])
-    counts[P.indptr[:-1]] = c[P.indptr[:-1]]
+    heads = P._heads
+    counts[heads] = c[heads]
     return counts, u, e
 
 
@@ -221,7 +224,8 @@ def _scatter(targets: np.ndarray, counts: np.ndarray, size: int) -> np.ndarray:
 
 
 def _tile(P: RoundMatrix, B: int):
-    """The routing arrays of I_B (x) P: copy b of P on vertices b*n..b*n+n-1.
+    """The routing arrays of I_B (x) P: copy b of P on vertices b*n..b*n+n-1,
+    with RoundMatrix's _heads and _last, and edges b*nnz (b = 0..B) for _draws.
 
     Not a RoundMatrix: a block-diagonal chain is reducible, so its flags
     would be wrong. B = 1 is P itself.
@@ -229,8 +233,11 @@ def _tile(P: RoundMatrix, B: int):
     if B == 1:
         return P
     shift = np.arange(B)[:, None]
+    indptr = np.append((P._heads + shift * P.ends.size).ravel(), B * P.ends.size)
+    last = indptr[1:] - 1
+    indptr.flags.writeable = last.flags.writeable = False
     return SimpleNamespace(
-        indptr=np.append((P.indptr[:-1] + shift * P.ends.size).ravel(), B * P.ends.size),
+        indptr=indptr, _heads=indptr[:-1], _last=last, edges=P.ends.size * np.arange(B + 1),
         rows=(P.rows + shift * P.n).ravel(),
         targets=(P.targets + shift * P.n).ravel(),
         starts=np.tile(P.starts, B),
@@ -241,7 +248,8 @@ def _tile(P: RoundMatrix, B: int):
 def _tokens(loads: np.ndarray):
     """(v, k, starts): the vertex and index k of every token, vertex by
     vertex, and the flat position of each vertex's first token."""
-    starts = loads.cumsum() - loads
+    starts = loads.cumsum()
+    starts -= loads
     v = np.arange(loads.size).repeat(loads)
     return v, np.arange(v.size) - starts[v], starts
 
@@ -260,7 +268,7 @@ def _token_dests(P: RoundMatrix, loads: np.ndarray, v: np.ndarray, r: np.ndarray
     key.real, key.imag = P.rows, P.ends * loads[P.rows]
     query = np.empty(r.size, dtype=np.complex128)
     query.real, query.imag = v, r
-    entry = np.minimum(key.searchsorted(query, side="right"), P.indptr[v + 1] - 1)
+    entry = np.minimum(key.searchsorted(query, side="right"), P._last[v])
     return P.targets[entry]
 
 
@@ -273,7 +281,7 @@ def step_batch(x: LoadConfig, P: RoundMatrix, rng, trace: bool = False):
     (config, StepTrace); the trace records the same draws, so it does not
     change the next configuration for a given generator state.
     """
-    if x.n != P.n:
+    if x.loads.size != P.n:
         raise ValidationError(f"config has {x.n} vertices, matrix has {P.n}")
     loads = x.loads
     counts, u, e = _route(loads, P, (rng,))
@@ -309,7 +317,7 @@ def step_naive(x: LoadConfig, P: RoundMatrix, rng, trace: bool = False):
     Vectorized over all tokens at once; with trace=True also returns the
     per-token StepTrace.
     """
-    if x.n != P.n:
+    if x.loads.size != P.n:
         raise ValidationError(f"config has {x.n} vertices, matrix has {P.n}")
     loads = x.loads
     v, k, _ = _tokens(loads)
@@ -380,18 +388,19 @@ class Baseline:
     """Block stepper factory of a baseline, which runs on a regular graph g
     and does not read P.
 
-    rule(loads, nbrs, rngs) is one round of the block, where nbrs is g's
-    (n, d) neighbor array tiled B times, trial b's vertices shifted by b*n.
+    rule(loads, nbrs, draw) is one round of the block, where nbrs is g's
+    (n, d) neighbor array tiled B times, trial b's vertices shifted by b*n,
+    and draw is _draws over the block's generators and B*n vertices.
     Building a stepper checks that g is regular.
     """
 
     rule: Callable
 
     def __call__(self, P, g: Graph, rngs):
-        d = g.regular_degree()
-        B, rngs = len(rngs), tuple(rngs)
+        d, B = g.regular_degree(), len(rngs)
+        draw = partial(_draws, tuple(rngs), edges=g.n * np.arange(B + 1))
         nbrs = (g.neighbor_array() + g.n * np.arange(B)[:, None, None]).reshape(B * g.n, d)
-        return lambda loads: self.rule(loads, nbrs, rngs)
+        return lambda loads: self.rule(loads, nbrs, draw)
 
 
 def _to_neighbors(nbrs: np.ndarray, sent: np.ndarray) -> np.ndarray:
@@ -400,21 +409,21 @@ def _to_neighbors(nbrs: np.ndarray, sent: np.ndarray) -> np.ndarray:
     return np.rint(out).astype(np.int64)
 
 
-def _send_floor2d(loads, nbrs, rngs):
+def _send_floor2d(loads, nbrs, draw):
     """Each vertex sends floor(x_v / 2d) to every neighbor, keeps the rest."""
     d = nbrs.shape[1]
     q = loads // (2 * d)
     return loads - d * q + _to_neighbors(nbrs, q.repeat(d))
 
 
-def _send_round3d(loads, nbrs, rngs):
+def _send_round3d(loads, nbrs, draw):
     """Each vertex sends round(x_v / 3d) (half-up) to every neighbor."""
     d = nbrs.shape[1]
     q = (2 * loads + 3 * d) // (6 * d)  # floor(x/(3d) + 1/2)
     return loads - d * q + _to_neighbors(nbrs, q.repeat(d))
 
 
-def _send_partition(loads, nbrs, rngs):
+def _send_partition(loads, nbrs, draw):
     """Split x_v into d+1 near-equal parts: ceilings first, in ascending
     neighbor order, the self part (a floor) last."""
     d = nbrs.shape[1]
@@ -422,19 +431,19 @@ def _send_partition(loads, nbrs, rngs):
     return q + _to_neighbors(nbrs, q[:, None] + (np.arange(d) < r[:, None]))
 
 
-def _rsend(loads, nbrs, rngs):
+def _rsend(loads, nbrs, draw):
     """floor(x_v/(d+1)) to every neighbor and itself; the remainder goes to
     that many distinct targets chosen uniformly without replacement.
 
     The d+1 slots of every vertex with a remainder r_v get one uniform key
-    each, trial b's from one rngs[b].random call; the r_v slots with the
+    each, trial b's from one call of its generator; the r_v slots with the
     smallest keys are a uniform r_v-subset.
     """
     d = nbrs.shape[1]
     q, r = np.divmod(loads, d + 1)
     new = q + _to_neighbors(nbrs, q.repeat(d))
     m = r.nonzero()[0]
-    keys = _draws(rngs, m.repeat(d + 1), nbrs.shape[0] // len(rngs)).reshape(m.size, d + 1)
+    keys = draw(m.repeat(d + 1)).reshape(m.size, d + 1)
     order = np.argsort(keys, axis=1)        # slots by ascending key
     slots = np.column_stack((nbrs[m], m))   # slot d is the vertex itself
     chosen = np.take_along_axis(slots, order, axis=1)[np.arange(d + 1) < r[m, None]]

@@ -229,18 +229,22 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
     if (n * d) % 2 != 0:
         raise ValidationError(f"n*d must be even, got n={n}, d={d}")
     rng = np.random.default_rng(seed)
-    for _ in range(MAX_REGULAR_RESTARTS):
-        stubs = np.repeat(np.arange(n, dtype=np.int64), d)
-        rng.shuffle(stubs)
-        pairs = stubs.reshape(-1, 2)
-        key = np.sort(pairs.min(axis=1) * n + pairs.max(axis=1))
-        if (np.logical_or.reduce(pairs[:, 0] == pairs[:, 1])
-                or np.logical_or.reduce(key[1:] == key[:-1])):
-            continue  # a self-loop or a parallel edge; restart
-        try:
-            return Graph.from_edges(n, pairs)
-        except ValidationError:
-            continue  # disconnected; restart
+    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
+    tried, k = 0, 1
+    while tried < MAX_REGULAR_RESTARTS:
+        # k restarts at once, k = 1, 2, 4, ... up to 2**13 stubs (64 KiB):
+        # permuting k rows of stubs draws what k shuffles of fresh stubs would
+        k = min(k, max(1, 2**13 // stubs.size), MAX_REGULAR_RESTARTS - tried)
+        pairs = rng.permuted(np.tile(stubs, (k, 1)), axis=1).reshape(k, -1, 2)
+        lo, hi = pairs.min(axis=2), pairs.max(axis=2)
+        key = np.sort(lo * n + hi, axis=1)
+        simple = ~((lo == hi).any(axis=1) | (key[:, 1:] == key[:, :-1]).any(axis=1))
+        for i in simple.nonzero()[0].tolist():
+            try:
+                return Graph.from_edges(n, pairs[i])
+            except ValidationError:
+                continue  # disconnected; the next candidate
+        tried, k = tried + k, 2 * k
     raise GenerationError(
         f"failed to sample a connected simple {d}-regular graph on {n} vertices "
         f"after {MAX_REGULAR_RESTARTS} restarts"

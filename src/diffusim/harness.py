@@ -208,8 +208,6 @@ def resolve(spec: ExperimentSpec) -> ResolvedExperiment:
     bound12, bound12_name = None, ""
     if spec.matrix not in _GRAPH_CHAINS:
         unavailable["bound_thm1_or_2"] = "Theorems 1 and 2 bound only a graph's lazy-rw and metropolis chains"
-    elif P.n < 2:
-        unavailable["bound_thm1_or_2"] = f"Theorems 1 and 2 need n >= 2, got n={P.n}"
     elif spec.matrix == "lazy-rw":
         bound12 = analysis.bound_theorem1(g.regular_degree(), P.n)
         bound12_name = "thm1"
@@ -347,7 +345,7 @@ def bounds_report(graph_spec: str, matrix_kind: str) -> list[str]:
                       ("psi2_bound_reversible", analysis.psi2_bound_reversible)):
         lines.append(show(label, _available(label, fn, P, why)))
 
-    if matrix_kind in _GRAPH_CHAINS and P.n >= 2:
+    if matrix_kind in _GRAPH_CHAINS:
         if g.is_regular():
             lines.append(f"bound_thm1={analysis.bound_theorem1(g.regular_degree(), P.n):.10g}")
         lines.append(f"bound_thm2={analysis.bound_theorem2(g.d_max, P.n):.10g}")

@@ -148,7 +148,19 @@ class RoundMatrix:
         end and 0.0 at a row's first entry. Computed once per matrix."""
         out = np.empty_like(self.ends)
         out[1:] = self.ends[:-1]
-        out[self.indptr[:-1]] = 0.0
+        out[self._heads] = 0.0
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def _heads(self) -> np.ndarray:
+        """(n,) int64, read-only: each row's first entry, indptr[:-1]."""
+        return self.indptr[:-1]
+
+    @cached_property
+    def _last(self) -> np.ndarray:
+        """(n,) int64, read-only: each row's last entry, indptr[1:] - 1."""
+        out = self.indptr[1:] - 1
         out.flags.writeable = False
         return out
 

@@ -184,7 +184,7 @@ def _trace_violations(P: matrices.RoundMatrix, traces: list) -> list[tuple[int, 
     e = np.arange(tok.size) - np.repeat(np.cumsum(deg) - deg - first, deg)
     load = loads[M.rows]  # scales each entry's interval into token units
     p = discrete._overlap(k.astype(np.float64)[tok], (M.starts * load)[e], (M.ends * load)[e])
-    hit = dest[tok] == P.targets[e % P.targets.size]   # a row's targets are distinct
+    hit = dest[tok] == np.tile(P.targets, len(traces))[e]   # a row's targets are distinct
     gap = np.abs(hit - p)
     missed = np.bincount(tok[hit], minlength=v.size) == 0
     zero = np.bincount(tok[hit & (p <= 0.0)], minlength=v.size) > 0
@@ -347,7 +347,7 @@ def suite_lemmas(seed: int = 0, min_vertex_steps: int = 100_000) -> SuiteResult:
         cfg = x0
         for i in range(steps):
             nxt, tr = step(cfg, P, rng, trace=True)
-            if nxt.total != cfg.total or nxt.loads.min() < 0:
+            if nxt.total != cfg.total or np.minimum.reduce(nxt.loads) < 0:
                 # the buffered steps came first, and so do their messages
                 found = (_trace_violations(P, traces) or [(len(traces), (
                     "conservation violated" if nxt.total != cfg.total else "negative load"))])[0]
@@ -384,7 +384,7 @@ def suite_conservation(seed: int = 0) -> SuiteResult:
             for _ in range(40):
                 c = discrete.SAMPLERS[sampler](c, P, rng)
                 checks += 1
-                if c.total != total or c.loads.min() < 0:
+                if c.total != total or np.minimum.reduce(c.loads) < 0:
                     failures.append(f"case {case} sampler {sampler}: conservation broke")
                     break
     for case in range(15):
@@ -402,7 +402,7 @@ def suite_conservation(seed: int = 0) -> SuiteResult:
             for _ in range(25):
                 loads = step(loads)
                 checks += 1
-                if loads.sum() != total or loads.min() < 0:
+                if np.add.reduce(loads) != total or np.minimum.reduce(loads) < 0:
                     failures.append(f"case {case} baseline {name}: conservation broke")
                     break
     return SuiteResult("conservation", not failures, checks,

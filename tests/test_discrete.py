@@ -21,6 +21,7 @@ from diffusim import (
     gen_star,
     gen_torus,
     lazy_rw_matrix,
+    matrix_from_text,
     metropolis_matrix,
     point_config,
     power_apply,
@@ -619,6 +620,33 @@ def test_route_and_scatter_match_the_reference_formula(seed, B):
     r_dests[~r_sampled] = M.targets.repeat(r_interior.astype(np.int64))
     assert np.array_equal(sampled, r_sampled)
     assert np.array_equal(dests, r_dests)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: lazy_rw_matrix(gen_cycle(7)),
+    lambda: metropolis_matrix(gen_star(6)),
+    lambda: matrix_from_text("3\n0 1 0.4\n0 0 0.6\n1 2 0.4\n1 0 0.1\n1 1 0.5\n2 2 1\n"),
+], ids=["lazy-rw", "metropolis", "file"])
+def test_row_heads_and_lasts_are_read_only_formulas(make):
+    # the cached per-matrix and per-block routing constants
+    P = make()
+    assert P._heads is P._heads and P._last is P._last  # built once per matrix
+    for B in (1, 2, 5):
+        M = _tile(P, B)
+        for name, want in (("_heads", M.indptr[:-1]), ("_last", M.indptr[1:] - 1)):
+            got = getattr(M, name)
+            assert got.dtype == np.int64 and np.array_equal(got, want), (name, B)
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 0
+        if B > 1:
+            assert np.array_equal(M.edges, P.ends.size * np.arange(B + 1))
+
+
+def test_samplers_refuse_a_config_of_another_size(lazy_triangle):
+    x = LoadConfig.from_loads([4, 0])
+    for step in (step_naive, step_batch):
+        with pytest.raises(ValidationError, match=r"^config has 2 vertices, matrix has 3$"):
+            step(x, lazy_triangle, np.random.default_rng(0))
 
 
 def test_edge_case_matrices_reach_the_straddle_branch():

@@ -16,6 +16,7 @@ from diffusim import (
     gen_torus,
     load_edge_list,
 )
+from diffusim import graphs
 from diffusim.graphs import Graph, edge_list_text
 from diffusim.harness import build_graph
 from diffusim.verify import random_connected_graph, seeded_irregular_graph
@@ -122,6 +123,47 @@ def test_random_regular_degrees_across_seeds(n, d, runs):
         g = gen_random_regular(n, d, seed=seed)
         assert np.all(g.degrees() == d)
         assert_valid_graph(g)
+
+
+def _one_shuffle_per_restart(n, d, seed):
+    # the pairing model with one shuffle of fresh stubs per restart
+    rng = np.random.default_rng(seed)
+    for _ in range(graphs.MAX_REGULAR_RESTARTS):
+        stubs = np.repeat(np.arange(n, dtype=np.int64), d)
+        rng.shuffle(stubs)
+        pairs = stubs.reshape(-1, 2)
+        key = np.sort(pairs.min(axis=1) * n + pairs.max(axis=1))
+        if np.any(pairs[:, 0] == pairs[:, 1]) or np.any(key[1:] == key[:-1]):
+            continue
+        try:
+            return Graph.from_edges(n, pairs)
+        except ValidationError:
+            continue
+    return None
+
+
+@pytest.mark.parametrize("n,d", [(4, 3), (6, 2), (8, 5), (10, 3), (12, 4), (24, 5), (30, 5), (64, 3),
+                                 (300, 2), (2050, 4)])
+def test_random_regular_batches_match_one_shuffle_per_restart(n, d):
+    # batched restarts draw the same pairings in the same order; the last
+    # case's 8200 stubs exceed a batch's 2**13 on their own
+    for seed in range(6 if n * d < 1000 else 2):
+        want, got = _one_shuffle_per_restart(n, d, seed), gen_random_regular(n, d, seed)
+        assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.targets, want.targets)
+
+
+@pytest.mark.parametrize("cap", [1, 37, 10_000])
+def test_random_regular_tries_exactly_the_restart_cap(monkeypatch, cap):
+    # a 1-regular graph on 4 vertices is two disjoint edges: every pairing
+    # is simple and disconnected, so each restart builds one candidate
+    built = []
+    from_edges = Graph.from_edges
+    monkeypatch.setattr(graphs, "MAX_REGULAR_RESTARTS", cap)
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(lambda n, e: built.append(1) or from_edges(n, e)))
+    with pytest.raises(GenerationError, match=f"^failed to sample a connected simple 1-regular graph "
+                                              f"on 4 vertices after {cap} restarts$"):
+        gen_random_regular(4, 1, seed=0)
+    assert len(built) == cap
 
 
 GENERATORS = [

@@ -30,6 +30,7 @@ from diffusim import (
     second_eigenvalue,
     stationary_distribution,
     step_batch,
+    step_naive,
 )
 from diffusim import matrices
 from diffusim.matrices import (
@@ -589,6 +590,18 @@ def test_pickle_round_trip_keeps_arrays_read_only():
             assert np.array_equal(vars(back)[name], arr), name
         assert {k: v for k, v in vars(back).items() if k not in arrays} == \
             {k: v for k, v in vars(obj).items() if k not in arrays}
+
+
+def test_pickled_matrix_keeps_its_cached_routing_arrays_read_only():
+    # a --jobs worker gets P by pickle after the parent has stepped it once
+    P = lazy_rw_matrix(gen_cycle(8))
+    step_batch(random_config(8, 40, 1), P, np.random.default_rng(0))
+    step_naive(random_config(8, 40, 1), P, np.random.default_rng(0))
+    assert {"_heads", "_last"} <= set(vars(P))
+    back = pickle.loads(pickle.dumps(P))
+    for name in ("_heads", "_last"):
+        assert np.array_equal(vars(back)[name], vars(P)[name])
+        assert not vars(back)[name].flags.writeable, name
 
 
 def test_chains_carry_the_graph_group():
