@@ -27,6 +27,9 @@ the median microseconds per call (per round for block_rows_us) over the repeats:
                                     [30, 0, 0] (the expectation suite)
                     lemmas          step_batch with trace=True on cycle:16
                                     lazy-rw from point:160 (the lemma suite)
+                    lemma_check     one verify._trace_violations pass over
+                                    the lemma suite's first chunk of those
+                                    rounds at seed 0, as the suite checks it
   block_rows_us   one round of harness._block_rows (the lockstep trial
                   loop: checks, records and CSV lines, plus the alg2-batch
                   stepper), a whole block of T + 1 rounds per call:
@@ -64,7 +67,7 @@ sys.path.insert(0, SRC)
 
 import numpy as np  # noqa: E402
 
-from diffusim import discrete, harness  # noqa: E402
+from diffusim import discrete, harness, verify  # noqa: E402
 
 REPEATS = 11
 TARGET_S = 0.05  # each timing runs about this long
@@ -112,6 +115,24 @@ def verify_case(graph: str, loads: list, sampler, trace: bool):
     return lambda: sampler(x, P, rng, trace=trace)
 
 
+def lemma_check_case():
+    """The lemma suite's first side-by-side pass, captured from a seed-0 run
+    of its first fuzz case and replayed on the same traces."""
+    real, first = verify._trace_violations, []
+
+    def capture(P, traces):
+        first.append((P, list(traces)))
+        return real(P, traces)
+
+    verify._trace_violations = capture
+    try:
+        verify.suite_lemmas(seed=0, min_vertex_steps=1)
+    finally:
+        verify._trace_violations = real
+    P, traces = first[0]
+    return lambda: real(P, traces)
+
+
 def block_rows_case(**spec):
     res = harness.resolve(harness.ExperimentSpec(**spec))
     return lambda: harness._block_rows(res, 0, spec["trials"]), res.T + 1
@@ -142,6 +163,7 @@ def main() -> int:
     for key, sampler in (("step_batch_us", discrete.step_batch), ("step_naive_us", discrete.step_naive)):
         cases.update({(key, str(n)): (step_case(sampler, n), 1) for n in STEP_SIZES})
     cases.update({("verify_us", name): (verify_case(*spec), 1) for name, spec in VERIFY_ROUNDS.items()})
+    cases[("verify_us", "lemma_check")] = (lemma_check_case(), 1)
     cases.update({("block_rows_us", name): block_rows_case(**spec) for name, spec in BLOCK_ROWS.items()})
     calls = {key: calls_per_timing(fn) for key, (fn, _) in cases.items()}
     times = {key: [] for key in cases}

@@ -31,8 +31,8 @@ generator exactly as it would alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from types import SimpleNamespace
 from typing import Callable
 
@@ -60,6 +60,7 @@ __all__ = [
 ]
 
 MAX_TOTAL = 2**53  # largest total whose token-unit arithmetic stays exact
+_INT64 = np.dtype(np.int64)  # a dtype compares faster with a dtype than with a type
 
 
 def _check_total(total: int | float) -> int | float:
@@ -119,7 +120,7 @@ def _conserved(new: np.ndarray, total: int) -> LoadConfig:
     Every step hands over a fresh int64 array of its own, so it is frozen in
     place rather than copied.
     """
-    if new.dtype != np.int64:
+    if new.dtype != _INT64:
         raise ValidationError(f"step produced {new.dtype} loads, expected int64")
     got = np.add.reduce(new)
     if got != total:
@@ -136,13 +137,25 @@ class StepTrace:
     over the tokens by vertex and then token index: vertex v sent counts[v]
     tokens, token i went to destinations[i], sampled[i] says whether a draw
     decided it and r_values[i] holds its token-unit sample k + U (NaN where
-    no draw happened)."""
+    no draw happened). The draw record (sampled, r_values) is built by
+    calling _build_record, once, the first time either is read."""
 
     loads_before: np.ndarray
     counts: np.ndarray
     destinations: np.ndarray
-    sampled: np.ndarray
-    r_values: np.ndarray
+    _build_record: Callable[[], tuple[np.ndarray, np.ndarray]] = field(repr=False)
+
+    @cached_property
+    def _record(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._build_record()
+
+    @property
+    def sampled(self) -> np.ndarray:
+        return self._record[0]
+
+    @property
+    def r_values(self) -> np.ndarray:
+        return self._record[1]
 
 
 def destination_distribution(row: RowView, x_v: int, k) -> np.ndarray:
@@ -223,9 +236,21 @@ def _scatter(targets: np.ndarray, counts: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(targets, weights=counts, minlength=size).astype(np.int64)
 
 
+class _Tile(SimpleNamespace):
+    """The routing arrays of I_B (x) P that _tile builds."""
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        """RoundMatrix's _keys, built on first use: a lemma pass never searches."""
+        out = self.rows.astype(np.complex128)
+        out.flags.writeable = False
+        return out
+
+
 def _tile(P: RoundMatrix, B: int):
     """The routing arrays of I_B (x) P: copy b of P on vertices b*n..b*n+n-1,
-    with RoundMatrix's _heads and _last, and edges b*nnz (b = 0..B) for _draws.
+    with RoundMatrix's _heads, _last, _vertices and _keys, and edges b*nnz
+    (b = 0..B) for _draws.
 
     Not a RoundMatrix: a block-diagonal chain is reducible, so its flags
     would be wrong. B = 1 is P itself.
@@ -235,22 +260,26 @@ def _tile(P: RoundMatrix, B: int):
     shift = np.arange(B)[:, None]
     indptr = np.append((P._heads + shift * P.ends.size).ravel(), B * P.ends.size)
     last = indptr[1:] - 1
-    indptr.flags.writeable = last.flags.writeable = False
-    return SimpleNamespace(
+    rows = (P.rows + shift * P.n).ravel()
+    vertices = np.arange(B * P.n)
+    for arr in (indptr, last, rows, vertices):
+        arr.flags.writeable = False
+    return _Tile(
         indptr=indptr, _heads=indptr[:-1], _last=last, edges=P.ends.size * np.arange(B + 1),
-        rows=(P.rows + shift * P.n).ravel(),
+        _vertices=vertices, rows=rows,
         targets=(P.targets + shift * P.n).ravel(),
         starts=np.tile(P.starts, B),
         ends=np.tile(P.ends, B),
     )
 
 
-def _tokens(loads: np.ndarray):
+def _tokens(P, loads: np.ndarray):
     """(v, k, starts): the vertex and index k of every token, vertex by
-    vertex, and the flat position of each vertex's first token."""
+    vertex, and the flat position of each vertex's first token. P is a
+    RoundMatrix or a _tile block with loads.size vertices."""
     starts = loads.cumsum()
     starts -= loads
-    v = np.arange(loads.size).repeat(loads)
+    v = P._vertices.repeat(loads)
     return v, np.arange(v.size) - starts[v], starts
 
 
@@ -264,12 +293,21 @@ def _token_dests(P: RoundMatrix, loads: np.ndarray, v: np.ndarray, r: np.ndarray
     so none is rounded. The last interval also takes an r that rounded up
     onto the row's top end x_v.
     """
-    key = np.empty(P.ends.size, dtype=np.complex128)
-    key.real, key.imag = P.rows, P.ends * loads[P.rows]
+    key = P._keys.copy()
+    np.multiply(P.ends, loads[P.rows], out=key.imag)
     query = np.empty(r.size, dtype=np.complex128)
     query.real, query.imag = v, r
     entry = np.minimum(key.searchsorted(query, side="right"), P._last[v])
     return P.targets[entry]
+
+
+def _naive_route(P, loads: np.ndarray, rng):
+    """(destinations, r) of one naive round: token k of vertex v draws u and
+    goes where r = k + u lands, one uniform per token, vertex by vertex."""
+    v, k, _ = _tokens(P, loads)
+    r = rng.random(v.size)
+    r += k
+    return _token_dests(P, loads, v, r), r
 
 
 def step_batch(x: LoadConfig, P: RoundMatrix, rng, trace: bool = False):
@@ -288,14 +326,15 @@ def step_batch(x: LoadConfig, P: RoundMatrix, rng, trace: bool = False):
     cfg = _conserved(_scatter(P.targets, counts, P.n), x.total)
     if not trace:
         return cfg
-    return cfg, StepTrace(loads, loads, *_token_routes(loads, P, counts, u, e))
+    # within a row k + u grows with k: tokens fill entries in row order
+    dest = P.targets.repeat(counts.astype(np.int64))
+    return cfg, StepTrace(loads, loads, dest, partial(_token_draws, loads, P, u, e))
 
 
-def _token_routes(loads: np.ndarray, P, counts, u, e):
-    """(destinations, sampled, r_values) of a round that _route routed, per
-    token, vertex by vertex: StepTrace's fields. P and loads are those given
-    to _route (copy b of a _tile block after copy b-1, targets shifted by
-    b*n). Within a row k + u grows with k: tokens fill entries in row order."""
+def _token_draws(loads: np.ndarray, P, u: np.ndarray, e: np.ndarray):
+    """(sampled, r_values) of a round that _route routed to (counts, u, e),
+    per token, vertex by vertex: StepTrace's draw record. P and loads are
+    those given to _route."""
     v = P.rows[e]
     k = P.ends[e]                  # drawn token k: floor of the product _route formed at e
     k *= loads[v]
@@ -308,7 +347,7 @@ def _token_routes(loads: np.ndarray, P, counts, u, e):
     r = np.empty(size)
     r.fill(np.nan)
     r[at] = k + u
-    return P.targets.repeat(counts.astype(np.int64)), sampled, r
+    return sampled, r
 
 
 def step_naive(x: LoadConfig, P: RoundMatrix, rng, trace: bool = False):
@@ -320,15 +359,18 @@ def step_naive(x: LoadConfig, P: RoundMatrix, rng, trace: bool = False):
     if x.loads.size != P.n:
         raise ValidationError(f"config has {x.n} vertices, matrix has {P.n}")
     loads = x.loads
-    v, k, _ = _tokens(loads)
-    r = k + rng.random(v.size)
-    dest = _token_dests(P, loads, v, r)
+    dest, r = _naive_route(P, loads, rng)
     cfg = _conserved(np.bincount(dest, minlength=P.n), x.total)
     if trace:
-        sampled = np.empty(r.size, dtype=bool)
-        sampled.fill(True)
-        return cfg, StepTrace(loads, loads, dest, sampled, r)
+        return cfg, StepTrace(loads, loads, dest, partial(_every_token_drew, r))
     return cfg
+
+
+def _every_token_drew(r: np.ndarray):
+    """The draw record of a naive round whose samples were r."""
+    sampled = np.empty(r.size, dtype=bool)
+    sampled.fill(True)
+    return sampled, r
 
 
 SAMPLERS = {"naive": step_naive, "batch": step_batch}
@@ -376,8 +418,7 @@ def _naive_block(P: RoundMatrix, g, rngs):
     def step(loads: np.ndarray) -> np.ndarray:
         new = []
         for x, rng in zip(loads.reshape(len(rngs), P.n), rngs):
-            v, k, _ = _tokens(x)
-            new.append(np.bincount(_token_dests(P, x, v, k + rng.random(v.size)), minlength=P.n))
+            new.append(np.bincount(_naive_route(P, x, rng)[0], minlength=P.n))
         return np.concatenate(new)
 
     return step

@@ -165,6 +165,21 @@ class RoundMatrix:
         return out
 
     @cached_property
+    def _vertices(self) -> np.ndarray:
+        """(n,) int64, read-only: arange(n)."""
+        out = np.arange(self.n)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        """(nnz,) complex128, read-only: real part rows, imaginary part 0, the
+        template of the sampler's search keys (see discrete._token_dests)."""
+        out = self.rows.astype(np.complex128)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
     def _cayley_spectrum(self) -> np.ndarray | None:
         grp = self.group
         if grp is None:

@@ -17,11 +17,14 @@ from .errors import ValidationError
 
 CHI2_P_FLOOR = 0.001
 LEMMA_SUM_TOL = 1e-9
-# (token, row entry) pairs at most in one side-by-side lemma pass: it bounds a
-# pass's memory, each float64 temporary staying under 128 KiB, far below the
-# 1 MiB mmap threshold that importing the package sets, so the temporaries
-# come from the heap and are not mapped and faulted in again every pass
-LEMMA_PAIRS = 2**14 - 512
+# tokens plus row entries at most in one side-by-side lemma pass: it bounds a
+# pass's memory, each temporary (one value per token, per entry or per
+# vertex, 8 bytes each) staying within 64 KiB, far below the 1 MiB mmap
+# threshold that importing the package sets, so the temporaries come from the
+# heap and are not mapped and faulted in again every pass. Nearly twice this
+# bound (2**14 - 512) raised the peak RSS of `diffusim verify` by ~0.6 MB
+# (the traces a chunk buffers grow with it) for ~1 % of the lemma suite's time.
+LEMMA_ITEMS = 2**13
 PSI2_REL_TOL = 1e-9
 
 
@@ -163,32 +166,42 @@ def _trace_violations(P: matrices.RoundMatrix, traces: list) -> list[tuple[int, 
     """(step, message) of every violation in consecutive traced steps on P,
     in step order, each step's messages those check_step_trace gives it.
 
-    One flat pass over every (token, row entry) pair of the K steps, step j
-    on vertices j*n..j*n+n-1 of I_K (x) P: every check is per vertex, so
-    vertex w of the pass is vertex w % n of step w // n. Destinations are
-    compared with P's own targets, so a step's need no shift by j*n.
+    One flat pass over every token of the K steps, step j on vertices
+    j*n..j*n+n-1 of I_K (x) P: every check is per vertex, so vertex w of the
+    pass is vertex w % n of step w // n. A token of vertex v that went to u
+    hits the entry of P whose key row*(n+1) + (n if a self-loop else target)
+    is v*(n+1) + (n if u == v else u), found in one search, since a row's
+    keys ascend in entry order; a token with no such entry is outside its
+    row's support. Entry i of a row with x tokens sums |hit - p| over them:
+    their p add up to the width of its interval times x, and a hit adds
+    1 - 2p.
     """
     if not traces:
         return []
-    M = discrete._tile(P, len(traces))
+    n, K = P.n, len(traces)
+    M = discrete._tile(P, K)
     x, sizes, dest = (np.concatenate([getattr(tr, a) for tr in traces])
                       for a in ("loads_before", "counts", "destinations"))
     outflow = sizes != x
     loads = np.where(outflow, 0, x)
     dest = dest[np.repeat(~outflow, sizes)]
-    v, k, starts = discrete._tokens(loads)
-    # the pairs of token i are the entries of its vertex's row, in row order
-    first = M.indptr[v]
-    deg = M.indptr[v + 1] - first
-    tok = np.repeat(np.arange(v.size), deg)
-    e = np.arange(tok.size) - np.repeat(np.cumsum(deg) - deg - first, deg)
+    v, k, starts = discrete._tokens(M, loads)
+    home = np.tile(P._vertices, K)[v]   # each token's vertex in its own step
+    keys = P.rows * (n + 1)
+    keys += np.where(P.targets == P.rows, n, P.targets)
+    query = home * (n + 1)
+    query += np.where(dest == home, n, dest)
+    at = np.minimum(keys.searchsorted(query), keys.size - 1)
+    hit = (P.rows[at] == home) & (P.targets[at] == dest)
+    entry = at + (M._heads - np.tile(P._heads, K))[v]   # step j's entries come j*nnz later
     load = loads[M.rows]  # scales each entry's interval into token units
-    p = discrete._overlap(k.astype(np.float64)[tok], (M.starts * load)[e], (M.ends * load)[e])
-    hit = dest[tok] == np.tile(P.targets, len(traces))[e]   # a row's targets are distinct
-    gap = np.abs(hit - p)
-    missed = np.bincount(tok[hit], minlength=v.size) == 0
-    zero = np.bincount(tok[hit & (p <= 0.0)], minlength=v.size) > 0
-    over_nbr = np.bincount(e, gap, minlength=M.rows.size) > 2.0 + LEMMA_SUM_TOL
+    lo, hi = M.starts * load, M.ends * load
+    p = discrete._overlap(k.astype(np.float64), lo[entry], hi[entry])
+    missed = ~hit
+    zero = hit & (p <= 0.0)
+    gap = hi - lo
+    gap += np.bincount(entry, (1.0 - 2.0 * p) * hit, minlength=gap.size)
+    over_nbr = gap > 2.0 + LEMMA_SUM_TOL
 
     flagged = outflow.copy()
     flagged[v[missed | zero]] = True
@@ -329,7 +342,7 @@ def suite_lemmas(seed: int = 0, min_vertex_steps: int = 100_000) -> SuiteResult:
     per-neighbor discrepancy lemma over >= 1e5 vertex-steps.
 
     Conservation and signs are checked every step; the traces are checked
-    in chunks of at most LEMMA_PAIRS (token, row entry) pairs. The first
+    in chunks of at most LEMMA_ITEMS tokens plus row entries. The first
     violation and the vertex-steps up to its step are the same as checking
     every step in turn.
     """
@@ -342,7 +355,7 @@ def suite_lemmas(seed: int = 0, min_vertex_steps: int = 100_000) -> SuiteResult:
         P, x0, steps, sampler = cases[ci % len(cases)]
         ci += 1
         step = discrete.SAMPLERS[sampler]
-        chunk = max(1, LEMMA_PAIRS // max(1, x0.total * int(np.diff(P.indptr).max())))
+        chunk = max(1, LEMMA_ITEMS // (x0.total + P.ends.size))
         traces = []
         cfg = x0
         for i in range(steps):
@@ -478,15 +491,15 @@ def _sampler_counts(sampler: str, P: matrices.RoundMatrix, x0: discrete.LoadConf
         b = min(B, samples - first)
         M, loads = discrete._tile(P, b), np.tile(x0.loads, b)
         if sampler == "naive":
-            v, k, _ = discrete._tokens(loads)
-            dests = discrete._token_dests(M, loads, v, k + rng.random(v.size))
+            dests = discrete._naive_route(M, loads, rng)[0]
             new = np.bincount(dests, minlength=b * n)
             draws += b
         else:
             counts, u, e = discrete._route(loads, M, (rng,))
             new = discrete._scatter(M.targets, counts, b * n)
-            dests, sampled, _ = discrete._token_routes(loads, M, counts, u, e)
-            draws += sampled.reshape(b, m).sum(axis=0)
+            dests = M.targets.repeat(counts.astype(np.int64))
+            # the drawn token of e: floor of the product _route formed there
+            draws += np.bincount(np.floor(M.ends[e] * m).astype(np.int64), minlength=m)
         new = new.reshape(b, n)
         got, least = new.sum(axis=1), new.min(axis=1)
         bad = ((got != m) | (least < 0)).nonzero()[0]

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -39,7 +40,7 @@ from diffusim.discrete import (
     _scatter,
     _tile,
     _token_dests,
-    _token_routes,
+    _token_draws,
     _tokens,
     loads_text,
     parse_loads_text,
@@ -300,6 +301,22 @@ def test_check_step_trace_reports_bad_destinations(lazy_cycle16):
         "v=0: tokens [5] routed to zero-probability targets")
 
 
+
+def test_token_moved_off_a_window_it_fills_breaks_both_lemmas():
+    # row 0 of 4 tokens: target 1 on [0, 0.4), target 2 on [0.4, 2.6) and
+    # itself on [2.6, 4) in token units, so token 3's window lies inside the
+    # self-loop's interval. Sending it to 2 is zero-probability routing, and
+    # entry (0, 2) then sums 0.6 + 0 + 0.6 + 1 > 2 over tokens 0 to 3
+    P = custom_matrix([(0, 1, 0.1), (0, 2, 0.55), (0, 0, 0.35), (1, 0, 0.1), (1, 1, 0.9),
+                       (2, 0, 0.55), (2, 2, 0.45)], n=3)
+    _, tr = step_batch(LoadConfig.from_loads([4, 0, 0]), P, np.random.default_rng(0), trace=True)
+    tr.destinations = np.array([1, 2, 0, 2])
+    want = ["v=0: tokens [3] routed to zero-probability targets",
+            "v=0: per-neighbor discrepancy sum exceeds 2"]
+    assert check_step_trace(P, tr) == _reference_check_step_trace(P, tr) == want
+    tr.destinations = np.array([1, 2, 0, 0])   # the round's legal routing, token 2 to itself
+    assert check_step_trace(P, tr) == _reference_check_step_trace(P, tr) == []
+
 def _per_vertex(trace, flat):
     """A flat per-token trace array cut into one slice per vertex."""
     return np.split(flat, np.cumsum(trace.counts)[:-1])
@@ -449,7 +466,7 @@ def test_naive_router_matches_per_row_search(seed, chain):
     rng = np.random.default_rng(seed)
     P = ROUTER_CHAINS[chain](int(rng.integers(2, 12)), rng)
     loads = random_config(P.n, int(rng.integers(0, 20 * P.n)), seed).loads
-    v, k, _ = _tokens(loads)
+    v, k, _ = _tokens(P, loads)
     x = loads[v]
     r = k + rng.random(v.size)
     mode = rng.integers(0, 4, size=v.size)
@@ -477,6 +494,43 @@ def test_batch_trace_consumes_the_same_draws(lazy_triangle):
         traced, _ = step_batch(x, lazy_triangle, np.random.default_rng(seed), trace=True)
         assert np.array_equal(plain.loads, traced.loads), seed
 
+
+
+def _eager_draw_record(loads, P, u, e):
+    """(sampled, r_values) as a traced step_batch once built them with the
+    round: each draw's token is floor(ends[e] * x_v) of vertex rows[e]."""
+    k = np.floor(P.ends[e] * loads[P.rows[e]])
+    at = (np.cumsum(loads) - loads)[P.rows[e]] + k.astype(np.int64)
+    sampled = np.zeros(int(loads.sum()), dtype=bool)
+    sampled[at] = True
+    r = np.full(sampled.size, np.nan)
+    r[at] = k + u
+    return sampled, r
+
+
+@pytest.mark.parametrize("graph, preset", [(gen_cycle(16), "point:160"), (gen_star(8), "random:70:2"),
+                                           (gen_complete(3), "uniform:1")])
+def test_draw_record_read_after_the_round_equals_the_eager_formula(graph, preset):
+    # the traces keep the round's draws and build sampled and r_values on
+    # first read, after later rounds have moved the generator on
+    P = metropolis_matrix(graph)
+    cfg, rng = config_from_preset(preset, P.n), np.random.default_rng(9)
+    traces, want = [], []
+    for sampler in ("batch", "naive") * 4:
+        twin = np.random.default_rng(9)
+        twin.bit_generator.state = rng.bit_generator.state
+        if sampler == "batch":
+            _, u, e = _route(cfg.loads, P, (twin,))
+            want.append(_eager_draw_record(cfg.loads, P, u, e))
+        else:
+            v, k, _ = _tokens(P, cfg.loads)
+            want.append((np.ones(v.size, dtype=bool), k + twin.random(v.size)))
+        cfg, tr = SAMPLERS[sampler](cfg, P, rng, trace=True)
+        traces.append(tr)
+    for tr, (sampled, r) in zip(traces, want):
+        assert tr.sampled is tr.sampled and tr.r_values is tr.r_values   # built once
+        assert tr.sampled.dtype == bool and np.array_equal(tr.sampled, sampled)
+        assert np.array_equal(tr.r_values, r, equal_nan=True)
 
 def test_batch_trace_stream_pinned(lazy_cycle16):
     # golden digest of every traced destination, draw flag and sample;
@@ -612,7 +666,8 @@ def test_route_and_scatter_match_the_reference_formula(seed, B):
     assert [g.random() for g in mine] == [g.random() for g in ref]
     # per token: drawn tokens go to r_e, the others fill each entry's whole
     # windows in row order
-    dests, sampled, _ = _token_routes(loads, M, counts, u, e)
+    dests = M.targets.repeat(counts.astype(np.int64))
+    sampled, _ = _token_draws(loads, M, u, e)
     r_sampled = np.zeros(dests.size, dtype=bool)
     r_sampled[(np.cumsum(loads) - loads)[r_v] + r_k.astype(np.int64)] = True
     r_dests = np.empty(dests.size, dtype=np.int64)
@@ -641,6 +696,28 @@ def test_row_heads_and_lasts_are_read_only_formulas(make):
         if B > 1:
             assert np.array_equal(M.edges, P.ends.size * np.arange(B + 1))
 
+
+
+@pytest.mark.parametrize("make", [
+    lambda: lazy_rw_matrix(gen_cycle(7)),
+    lambda: metropolis_matrix(gen_star(6)),
+    lambda: matrix_from_text("3\n0 1 0.4\n0 0 0.6\n1 2 0.4\n1 0 0.1\n1 1 0.5\n2 2 1\n"),
+], ids=["lazy-rw", "metropolis", "file"])
+def test_token_vertices_and_key_templates_are_read_only_formulas(make):
+    # the naive round's cached arrays, per matrix, per block and after a pickle
+    P = make()
+    assert P._vertices is P._vertices and P._keys is P._keys  # built once per matrix
+    back = pickle.loads(pickle.dumps(P))
+    assert {"_vertices", "_keys"} <= set(vars(back))
+    for M in (back, *(_tile(P, B) for B in (1, 2, 5))):
+        want = {"_vertices": (np.int64, np.arange(M.indptr.size - 1)),
+                "_keys": (np.complex128, M.rows.astype(np.complex128))}
+        for name, (dtype, value) in want.items():
+            got = getattr(M, name)
+            assert got.dtype == dtype and np.array_equal(got, value), name
+            assert np.array_equal(got.real, value.real) and not got.imag.any(), name
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 1
 
 def test_samplers_refuse_a_config_of_another_size(lazy_triangle):
     x = LoadConfig.from_loads([4, 0])

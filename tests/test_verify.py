@@ -13,7 +13,7 @@ from diffusim.cli import main
 from diffusim.errors import ValidationError
 
 LEMMA_STEPS = 1200  # steps of the first lemma case: lazy walk on cycle:16 from point:160
-CHUNK = verify.LEMMA_PAIRS // (160 * 3)  # that case's steps per check: rows have 3 entries
+CHUNK = verify.LEMMA_ITEMS // (160 + 16 * 3)  # that case's steps per check: 160 tokens, 48 row entries
 
 
 @pytest.fixture
@@ -139,6 +139,22 @@ def test_lemma_suite_checks_whole_chunks(monkeypatch):
     assert passes == [CHUNK] * (LEMMA_STEPS // CHUNK) + [LEMMA_STEPS % CHUNK]
 
 
+
+def test_lemma_suite_builds_no_draw_record(monkeypatch):
+    # the checker reads destinations only, so no traced round of either
+    # sampler builds its sampled and r_values; 86,701 vertex-steps run every
+    # fuzz case once
+    def refuse(*args):
+        raise AssertionError("a draw record was built")
+
+    monkeypatch.setattr(discrete, "_token_draws", refuse)
+    monkeypatch.setattr(discrete, "_every_token_drew", refuse)
+    res = verify.suite_lemmas(min_vertex_steps=86_701)
+    assert (res.passed, res.checks) == (True, 94_200)
+    _, tr = discrete.step_batch(FIG_X0, FIG, np.random.default_rng(0), trace=True)   # the patch holds
+    with pytest.raises(AssertionError, match="draw record"):
+        tr.sampled
+
 def _faulty(real, faults: dict):
     """real sampler, except that call j of faults[j] == "misroute" sends one
     token off its row's support, "lose" reports a total one short and
@@ -203,9 +219,18 @@ def _per_step_lemmas(seed: int, min_vertex_steps: int):
     {2 * CHUNK - 1: "lose"},
     {CHUNK + 3: "misroute", CHUNK + 5: "lose"},       # the buffered misroute comes first
     {CHUNK + 5: "negative"},
-    # fixed steps that do not follow LEMMA_PAIRS: at 2**14 - 512 (CHUNK = 33)
-    # 34 and 67 are the second step of the second and third chunks, with one
-    # step buffered before them, and 37, 39 and 51 lie inside the second chunk
+    # fixed steps that do not follow LEMMA_ITEMS: the boundaries of the 33-step
+    # chunks that a bound of 2**14 - 512 (token, row entry) pairs gave, 33, 49
+    # and 65 the first, middle and last step of the second, 34 and 67 the
+    # second step of the second and third, with one step buffered before
+    # them, and 36 to 51 inside the second
+    {33: "misroute"},
+    {49: "misroute"},
+    {65: "misroute"},
+    {33: "lose"},
+    {65: "lose"},
+    {36: "misroute", 38: "lose"},
+    {38: "negative"},
     {34: "misroute"},
     {51: "misroute"},
     {67: "misroute"},
