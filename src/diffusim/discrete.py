@@ -20,8 +20,8 @@ Two samplers are first-class:
   part, plus one if the draw of the token whose window holds it falls below
   its fraction. This is distributionally identical. One routing path serves
   both trace settings: one uniform per boundary token, by vertex and token
-  index, in one generator call per step; trace=True reads each drawn token's
-  index off its window's first cut, so it never changes the next round.
+  index, in one generator call per step; trace=True reads the destinations
+  off the entry counts, so it never changes the next round.
 
 ALGORITHMS maps each algorithm that simulate runs to a block stepper
 factory: alg2-naive and alg2-batch (the two samplers), the deterministic
@@ -31,7 +31,7 @@ generator exactly as it would alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from types import SimpleNamespace
 from typing import Callable
@@ -134,28 +134,13 @@ def _conserved(new: np.ndarray, total: int) -> LoadConfig:
 @dataclass
 class StepTrace:
     """Per-step record of token destinations for invariant checking, flat
-    over the tokens by vertex and then token index: vertex v sent counts[v]
-    tokens, token i went to destinations[i], sampled[i] says whether a draw
-    decided it and r_values[i] holds its token-unit sample k + U (NaN where
-    no draw happened). The draw record (sampled, r_values) is built by
-    calling _build_record, once, the first time either is read."""
+    over the tokens by vertex and then token index: vertex v held
+    loads_before[v] tokens and sent counts[v] of them, and token i went to
+    destinations[i]."""
 
     loads_before: np.ndarray
     counts: np.ndarray
     destinations: np.ndarray
-    _build_record: Callable[[], tuple[np.ndarray, np.ndarray]] = field(repr=False)
-
-    @cached_property
-    def _record(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._build_record()
-
-    @property
-    def sampled(self) -> np.ndarray:
-        return self._record[0]
-
-    @property
-    def r_values(self) -> np.ndarray:
-        return self._record[1]
 
 
 def destination_distribution(row: RowView, x_v: int, k) -> np.ndarray:
@@ -301,13 +286,13 @@ def _token_dests(P: RoundMatrix, loads: np.ndarray, v: np.ndarray, r: np.ndarray
     return P.targets[entry]
 
 
-def _naive_route(P, loads: np.ndarray, rng):
-    """(destinations, r) of one naive round: token k of vertex v draws u and
+def _naive_route(P, loads: np.ndarray, rng) -> np.ndarray:
+    """Destinations of one naive round: token k of vertex v draws u and
     goes where r = k + u lands, one uniform per token, vertex by vertex."""
     v, k, _ = _tokens(P, loads)
     r = rng.random(v.size)
     r += k
-    return _token_dests(P, loads, v, r), r
+    return _token_dests(P, loads, v, r)
 
 
 def step_batch(x: LoadConfig, P: RoundMatrix, rng, trace: bool = False):
@@ -316,38 +301,19 @@ def step_batch(x: LoadConfig, P: RoundMatrix, rng, trace: bool = False):
     Distributionally identical to step_naive. Each boundary token draws one
     uniform, by vertex and then token index, in a single generator call;
     every other token moves in bulk. With trace=True returns
-    (config, StepTrace); the trace records the same draws, so it does not
-    change the next configuration for a given generator state.
+    (config, StepTrace); the trace is read off the same routing, so it
+    does not change the next configuration for a given generator state.
     """
     if x.loads.size != P.n:
         raise ValidationError(f"config has {x.n} vertices, matrix has {P.n}")
     loads = x.loads
-    counts, u, e = _route(loads, P, (rng,))
+    counts = _route(loads, P, (rng,))[0]
     cfg = _conserved(_scatter(P.targets, counts, P.n), x.total)
     if not trace:
         return cfg
     # within a row k + u grows with k: tokens fill entries in row order
     dest = P.targets.repeat(counts.astype(np.int64))
-    return cfg, StepTrace(loads, loads, dest, partial(_token_draws, loads, P, u, e))
-
-
-def _token_draws(loads: np.ndarray, P, u: np.ndarray, e: np.ndarray):
-    """(sampled, r_values) of a round that _route routed to (counts, u, e),
-    per token, vertex by vertex: StepTrace's draw record. P and loads are
-    those given to _route."""
-    v = P.rows[e]
-    k = P.ends[e]                  # drawn token k: floor of the product _route formed at e
-    k *= loads[v]
-    np.floor(k, out=k)
-    ends = loads.cumsum()
-    at = (ends - loads)[v] + k.astype(np.int64)  # flat position of each draw
-    size = int(ends[-1])
-    sampled = np.zeros(size, dtype=bool)
-    sampled[at] = True
-    r = np.empty(size)
-    r.fill(np.nan)
-    r[at] = k + u
-    return sampled, r
+    return cfg, StepTrace(loads, loads, dest)
 
 
 def step_naive(x: LoadConfig, P: RoundMatrix, rng, trace: bool = False):
@@ -359,21 +325,11 @@ def step_naive(x: LoadConfig, P: RoundMatrix, rng, trace: bool = False):
     if x.loads.size != P.n:
         raise ValidationError(f"config has {x.n} vertices, matrix has {P.n}")
     loads = x.loads
-    dest, r = _naive_route(P, loads, rng)
+    dest = _naive_route(P, loads, rng)
     cfg = _conserved(np.bincount(dest, minlength=P.n), x.total)
     if trace:
-        return cfg, StepTrace(loads, loads, dest, partial(_every_token_drew, r))
+        return cfg, StepTrace(loads, loads, dest)
     return cfg
-
-
-def _every_token_drew(r: np.ndarray):
-    """The draw record of a naive round whose samples were r."""
-    sampled = np.empty(r.size, dtype=bool)
-    sampled.fill(True)
-    return sampled, r
-
-
-SAMPLERS = {"naive": step_naive, "batch": step_batch}
 
 
 def run(x0: LoadConfig, P: RoundMatrix, T: int, rng):
@@ -418,7 +374,7 @@ def _naive_block(P: RoundMatrix, g, rngs):
     def step(loads: np.ndarray) -> np.ndarray:
         new = []
         for x, rng in zip(loads.reshape(len(rngs), P.n), rngs):
-            new.append(np.bincount(_naive_route(P, x, rng)[0], minlength=P.n))
+            new.append(np.bincount(_naive_route(P, x, rng), minlength=P.n))
         return np.concatenate(new)
 
     return step

@@ -319,21 +319,23 @@ def suite_psi2(seed: int = 0) -> SuiteResult:
 
 
 def _fuzz_cases(seed: int):
-    """Mixed fixtures for the conservation and lemma fuzz suites."""
+    """Mixed fixtures for the lemma fuzz suite, each with the sampler it
+    steps, read off the discrete module when called."""
     fig = figure_row_matrix()
     cyc = graphs.gen_cycle(16)
     torus = graphs.gen_torus(4, 4)
     star = graphs.gen_star(8)
     hyper = graphs.gen_hypercube(3)
+    batch, naive = discrete.step_batch, discrete.step_naive
     return [
         # (matrix, initial config, steps, sampler)
-        (matrices.lazy_rw_matrix(cyc), discrete.point_config(16, 160), 1200, "batch"),
-        (matrices.lazy_rw_matrix(cyc), discrete.random_config(16, 160, seed + 1), 1200, "naive"),
-        (matrices.metropolis_matrix(torus), discrete.random_config(16, 200, seed + 2), 1200, "batch"),
-        (matrices.metropolis_matrix(star), discrete.point_config(8, 56), 1500, "naive"),
-        (matrices.lazy_rw_matrix(hyper), discrete.random_config(8, 64, seed + 3), 1200, "batch"),
-        (fig, discrete.point_config(5, 5), 1500, "naive"),
-        (fig, discrete.uniform_config(5, 23), 1500, "batch"),
+        (matrices.lazy_rw_matrix(cyc), discrete.point_config(16, 160), 1200, batch),
+        (matrices.lazy_rw_matrix(cyc), discrete.random_config(16, 160, seed + 1), 1200, naive),
+        (matrices.metropolis_matrix(torus), discrete.random_config(16, 200, seed + 2), 1200, batch),
+        (matrices.metropolis_matrix(star), discrete.point_config(8, 56), 1500, naive),
+        (matrices.lazy_rw_matrix(hyper), discrete.random_config(8, 64, seed + 3), 1200, batch),
+        (fig, discrete.point_config(5, 5), 1500, naive),
+        (fig, discrete.uniform_config(5, 23), 1500, batch),
     ]
 
 
@@ -352,9 +354,8 @@ def suite_lemmas(seed: int = 0, min_vertex_steps: int = 100_000) -> SuiteResult:
     cases = _fuzz_cases(seed)
     ci = 0
     while found is None and vertex_steps < min_vertex_steps:
-        P, x0, steps, sampler = cases[ci % len(cases)]
+        P, x0, steps, step = cases[ci % len(cases)]
         ci += 1
-        step = discrete.SAMPLERS[sampler]
         chunk = max(1, LEMMA_ITEMS // (x0.total + P.ends.size))
         traces = []
         cfg = x0
@@ -392,10 +393,10 @@ def suite_conservation(seed: int = 0) -> SuiteResult:
         P = matrices.metropolis_matrix(g)
         total = int(rng.integers(0, 50 * n))
         cfg = discrete.random_config(n, total, int(rng.integers(0, 2**31)))
-        for sampler in ("naive", "batch"):
+        for sampler, step in (("naive", discrete.step_naive), ("batch", discrete.step_batch)):
             c = cfg
             for _ in range(40):
-                c = discrete.SAMPLERS[sampler](c, P, rng)
+                c = step(c, P, rng)
                 checks += 1
                 if c.total != total or np.minimum.reduce(c.loads) < 0:
                     failures.append(f"case {case} sampler {sampler}: conservation broke")
@@ -427,9 +428,10 @@ def sampler_equivalence_stats(seed: int = 0, samples: int = 10_000):
 
     Each sampler takes `samples` one-round samples from x0 = [0,0,0,0,5],
     drawing from default_rng(seed + i) (naive i = 0, batch i = 1) exactly the
-    uniforms that one traced SAMPLERS call per sample would (see
-    _sampler_counts). Returns (deterministic sets equal, support sets equal,
-    chi2 p-value over the cells that either sampler hit, contingency table).
+    uniforms that one traced step_naive or step_batch call per sample would
+    (see _sampler_counts). Returns (deterministic sets equal, support sets
+    equal, chi2 p-value over the cells that either sampler hit, contingency
+    table).
     """
     P = figure_row_matrix()
     x0 = discrete.LoadConfig.from_loads([0, 0, 0, 0, 5])
@@ -478,9 +480,10 @@ def _sampler_counts(sampler: str, P: matrices.RoundMatrix, x0: discrete.LoadConf
     The samples step in blocks of B = max(1, BLOCK_ENTRIES // nnz) copies of
     P, side by side as I_B (x) P, and draw from rng in copy order: "naive" one
     uniform per token, "batch" through _route. PCG64 spends one output per
-    double, so a block draws the uniforms that B traced SAMPLERS[sampler]
-    calls would, and each copy lands where its call's trace would. A copy
-    whose total or least load is off raises ValidationError naming its sample.
+    double, so a block draws the uniforms that B traced calls of that
+    sampler's step function would, and each copy lands where its call's
+    trace would. A copy whose total or least load is off raises
+    ValidationError naming its sample.
     """
     n, m = P.n, x0.total
     width = int(col.max()) + 1
@@ -491,7 +494,7 @@ def _sampler_counts(sampler: str, P: matrices.RoundMatrix, x0: discrete.LoadConf
         b = min(B, samples - first)
         M, loads = discrete._tile(P, b), np.tile(x0.loads, b)
         if sampler == "naive":
-            dests = discrete._naive_route(M, loads, rng)[0]
+            dests = discrete._naive_route(M, loads, rng)
             new = np.bincount(dests, minlength=b * n)
             draws += b
         else:
@@ -555,7 +558,7 @@ def expectation_stats(seed: int = 0, trials: int = 10_000):
     P = matrices.lazy_rw_matrix(graphs.gen_complete(3))
     x0 = discrete.LoadConfig.from_loads([30, 0, 0])
     rng = np.random.default_rng(seed)
-    step = discrete.SAMPLERS["naive"]
+    step = discrete.step_naive
     finals = np.empty((trials, P.n), dtype=np.int64)
     for i in range(trials):
         cfg = x0

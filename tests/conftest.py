@@ -1,3 +1,4 @@
+import copy
 import os
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 import diffusim
 from diffusim import Graph, gen_complete, gen_cycle, lazy_rw_matrix
+from diffusim.discrete import _route, _tokens
 
 
 @pytest.fixture
@@ -72,3 +74,30 @@ def src_env() -> dict[str, str]:
     """The environment with this checkout's package first on PYTHONPATH."""
     src = str(Path(diffusim.__file__).resolve().parents[1])
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def draw_record(sampler: str, loads, P, rng):
+    """(sampled, r_values) of the round that step_naive ("naive") or
+    step_batch ("batch") takes from loads on P with rng in its present
+    state, flat over the tokens by vertex and then token index: sampled[i]
+    says whether a draw decided token i and r_values[i] holds its
+    token-unit sample k + U (NaN where no draw happened). The round is
+    replayed on a twin generator, so rng does not move."""
+    twin = copy.deepcopy(rng)
+    if sampler == "naive":
+        v, k, _ = _tokens(P, loads)
+        return np.ones(v.size, dtype=bool), k + twin.random(v.size)
+    _, u, e = _route(loads, P, (twin,))
+    return eager_draw_record(loads, P, u, e)
+
+
+def eager_draw_record(loads, P, u, e):
+    """(sampled, r_values) of a round that _route routed to (counts, u, e):
+    each draw's token is floor(ends[e] * x_v) of vertex rows[e]."""
+    k = np.floor(P.ends[e] * loads[P.rows[e]])
+    at = (np.cumsum(loads) - loads)[P.rows[e]] + k.astype(np.int64)
+    sampled = np.zeros(int(loads.sum()), dtype=bool)
+    sampled[at] = True
+    r = np.full(sampled.size, np.nan)
+    r[at] = k + u
+    return sampled, r

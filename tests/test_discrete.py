@@ -35,12 +35,10 @@ from diffusim import (
 from diffusim.discrete import (
     ALGORITHMS,
     MAX_TOTAL,
-    SAMPLERS,
     _route,
     _scatter,
     _tile,
     _token_dests,
-    _token_draws,
     _tokens,
     loads_text,
     parse_loads_text,
@@ -55,6 +53,8 @@ from diffusim.verify import (
     random_symmetric_lazy_chain,
     sampler_equivalence_stats,
 )
+
+from conftest import draw_record, eager_draw_record
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +164,9 @@ def test_deterministic_tokens_are_the_undrawn_ones(seed):
         entries += [(v, int(u), p) for u, p in zip(targets, w / w.sum())]
     P = custom_matrix(entries, n=n)
     loads = rng.choice([0, 1, int(rng.integers(2, 3000))], size=n)
+    sampled, _ = draw_record("batch", loads, P, rng)
     _, tr = step_batch(LoadConfig.from_loads(loads), P, rng, trace=True)
-    for v, drawn, dest in zip(range(n), _per_vertex(tr, tr.sampled), _per_vertex(tr, tr.destinations)):
+    for v, drawn, dest in zip(range(n), _per_vertex(tr, sampled), _per_vertex(tr, tr.destinations)):
         row, x_v = P.row(v), int(loads[v])
         det = _deterministic(row, x_v)
         assert np.array_equal(det, _cut_mask(row, x_v))
@@ -208,12 +209,13 @@ def test_triangle_two_tokens_enumeration(lazy_triangle):
 
 
 def test_batch_triangle_token1_deterministic(lazy_triangle):
-    x = LoadConfig.from_loads([2, 0, 0])
-    _, tr = step_batch(x, lazy_triangle, np.random.default_rng(0), trace=True)
+    x, rng = LoadConfig.from_loads([2, 0, 0]), np.random.default_rng(0)
+    sampled, _ = draw_record("batch", x.loads, lazy_triangle, rng)
+    _, tr = step_batch(x, lazy_triangle, rng, trace=True)
     # vertex 0 holds both tokens, so they are the whole flat trace
-    assert not tr.sampled[1]       # token 1 routed without a draw
+    assert not sampled[1]          # token 1 routed without a draw
     assert tr.destinations[1] == 0  # to self
-    assert tr.sampled[0]
+    assert sampled[0]
 
 
 def test_batch_figure1_deterministic_tokens():
@@ -221,11 +223,11 @@ def test_batch_figure1_deterministic_tokens():
     x = LoadConfig.from_loads([0, 0, 0, 0, 5])
     rng = np.random.default_rng(3)
     for _ in range(50):
+        sampled, _ = draw_record("batch", x.loads, P, rng)
         _, tr = step_batch(x, P, rng, trace=True)
         assert list(tr.counts) == [0, 0, 0, 0, 5]  # the hub's tokens are the whole trace
         assert tr.destinations[3] == 4 and tr.destinations[4] == 4
-        assert not tr.sampled[3] and not tr.sampled[4]
-        assert list(tr.sampled[:3]) == [True, True, True]
+        assert list(sampled) == [True, True, True, False, False]
 
 
 def test_exact_split_matches_between_samplers():
@@ -269,14 +271,14 @@ def test_naive_single_walk_matches_row(lazy_triangle):
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), steps=st.integers(1, 8),
-       sampler=st.sampled_from(["naive", "batch"]))
-def test_sampler_conservation_and_nonnegativity(seed, steps, sampler):
+       step=st.sampled_from([step_naive, step_batch]))
+def test_sampler_conservation_and_nonnegativity(seed, steps, step):
     rng = np.random.default_rng(seed)
     P = metropolis_matrix(random_connected_graph(int(rng.integers(2, 14)), rng))
     total = int(rng.integers(0, 300))
     cfg = random_config(P.n, total, seed)
     for _ in range(steps):
-        cfg = SAMPLERS[sampler](cfg, P, rng)
+        cfg = step(cfg, P, rng)
         assert cfg.total == total
         assert np.all(cfg.loads >= 0)
 
@@ -284,8 +286,8 @@ def test_sampler_conservation_and_nonnegativity(seed, steps, sampler):
 def test_traced_steps_match_invariants(lazy_cycle16):
     rng = np.random.default_rng(8)
     cfg = random_config(16, 120, 44)
-    for sampler in ("naive", "batch"):
-        nxt, tr = SAMPLERS[sampler](cfg, lazy_cycle16, rng, trace=True)
+    for step in (step_naive, step_batch):
+        nxt, tr = step(cfg, lazy_cycle16, rng, trace=True)
         assert check_step_trace(lazy_cycle16, tr) == []
         recount = np.bincount(tr.destinations, minlength=16)
         assert np.array_equal(recount, nxt.loads)
@@ -390,32 +392,20 @@ def test_destination_distribution_token_lemmas(seed, chain, x_v):
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), chain=st.sampled_from(sorted(TRACE_CHAINS)),
-       sampler=st.sampled_from(["naive", "batch"]), corruptions=st.integers(0, 3))
-def test_check_step_trace_matches_reference_loop(seed, chain, sampler, corruptions):
+       step=st.sampled_from([step_naive, step_batch]), corruptions=st.integers(0, 3))
+def test_check_step_trace_matches_reference_loop(seed, chain, step, corruptions):
     rng = np.random.default_rng(seed)
     P = TRACE_CHAINS[chain](int(rng.integers(2, 12)), rng)
     cfg = random_config(P.n, int(rng.integers(0, 20 * P.n)), seed)
-    _, tr = SAMPLERS[sampler](cfg, P, rng, trace=True)
+    _, tr = step(cfg, P, rng, trace=True)
     assert check_step_trace(P, tr) == _reference_check_step_trace(P, tr) == []
-    loaded = np.flatnonzero(tr.loads_before)
-    for v in rng.choice(loaded, size=min(corruptions, loaded.size), replace=False):
-        d = _per_vertex(tr, tr.destinations)[v].copy()
-        i, j = rng.integers(0, d.size, size=2)
-        kind = int(rng.integers(0, 3))
-        if kind == 0:    # moved to a random vertex, mostly off the row's support
-            d[i] = rng.integers(0, P.n)
-        elif kind == 1:  # two tokens swapped, often onto a zero-probability target
-            d[[i, j]] = d[[j, i]]
-        else:            # a token dropped or duplicated: outflow != load
-            d = np.delete(d, i) if rng.random() < 0.5 else np.insert(d, i, d[i])
-        _set_destinations(tr, v, d)
+    tr = _corrupted(P, tr, rng, corruptions)
     assert check_step_trace(P, tr) == _reference_check_step_trace(P, tr)
 
 
 def _corrupted(P, tr, rng, corruptions: int):
     """tr with the destinations of up to `corruptions` loaded vertices
-    broken in one of the ways test_check_step_trace_matches_reference_loop
-    breaks them."""
+    broken: a token moved, two swapped, or one dropped or duplicated."""
     loaded = np.flatnonzero(tr.loads_before)
     for v in rng.choice(loaded, size=min(corruptions, loaded.size), replace=False):
         d = _per_vertex(tr, tr.destinations)[v].copy()
@@ -433,16 +423,16 @@ def _corrupted(P, tr, rng, corruptions: int):
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), chain=st.sampled_from(sorted(TRACE_CHAINS)),
-       sampler=st.sampled_from(["naive", "batch"]), steps=st.sampled_from([1, 2, 5]),
+       step=st.sampled_from([step_naive, step_batch]), steps=st.sampled_from([1, 2, 5]),
        corruptions=st.integers(0, 3))
-def test_trace_violations_side_by_side_match_step_by_step(seed, chain, sampler, steps, corruptions):
+def test_trace_violations_side_by_side_match_step_by_step(seed, chain, step, steps, corruptions):
     # K steps checked in one pass give each step's own messages, in step order
     rng = np.random.default_rng(seed)
     P = TRACE_CHAINS[chain](int(rng.integers(2, 12)), rng)
     cfg = random_config(P.n, int(rng.integers(0, 20 * P.n)), seed)
     traces = []
     for _ in range(steps):
-        cfg, tr = SAMPLERS[sampler](cfg, P, rng, trace=True)
+        cfg, tr = step(cfg, P, rng, trace=True)
         traces.append(_corrupted(P, tr, rng, int(rng.integers(0, corruptions + 1))))
     got = _trace_violations(P, traces)
     assert got == [(j, m) for j, tr in enumerate(traces) for m in check_step_trace(P, tr)]
@@ -495,43 +485,6 @@ def test_batch_trace_consumes_the_same_draws(lazy_triangle):
         assert np.array_equal(plain.loads, traced.loads), seed
 
 
-
-def _eager_draw_record(loads, P, u, e):
-    """(sampled, r_values) as a traced step_batch once built them with the
-    round: each draw's token is floor(ends[e] * x_v) of vertex rows[e]."""
-    k = np.floor(P.ends[e] * loads[P.rows[e]])
-    at = (np.cumsum(loads) - loads)[P.rows[e]] + k.astype(np.int64)
-    sampled = np.zeros(int(loads.sum()), dtype=bool)
-    sampled[at] = True
-    r = np.full(sampled.size, np.nan)
-    r[at] = k + u
-    return sampled, r
-
-
-@pytest.mark.parametrize("graph, preset", [(gen_cycle(16), "point:160"), (gen_star(8), "random:70:2"),
-                                           (gen_complete(3), "uniform:1")])
-def test_draw_record_read_after_the_round_equals_the_eager_formula(graph, preset):
-    # the traces keep the round's draws and build sampled and r_values on
-    # first read, after later rounds have moved the generator on
-    P = metropolis_matrix(graph)
-    cfg, rng = config_from_preset(preset, P.n), np.random.default_rng(9)
-    traces, want = [], []
-    for sampler in ("batch", "naive") * 4:
-        twin = np.random.default_rng(9)
-        twin.bit_generator.state = rng.bit_generator.state
-        if sampler == "batch":
-            _, u, e = _route(cfg.loads, P, (twin,))
-            want.append(_eager_draw_record(cfg.loads, P, u, e))
-        else:
-            v, k, _ = _tokens(P, cfg.loads)
-            want.append((np.ones(v.size, dtype=bool), k + twin.random(v.size)))
-        cfg, tr = SAMPLERS[sampler](cfg, P, rng, trace=True)
-        traces.append(tr)
-    for tr, (sampled, r) in zip(traces, want):
-        assert tr.sampled is tr.sampled and tr.r_values is tr.r_values   # built once
-        assert tr.sampled.dtype == bool and np.array_equal(tr.sampled, sampled)
-        assert np.array_equal(tr.r_values, r, equal_nan=True)
-
 def test_batch_trace_stream_pinned(lazy_cycle16):
     # golden digest of every traced destination, draw flag and sample;
     # a change means seeded runs route tokens differently
@@ -539,13 +492,14 @@ def test_batch_trace_stream_pinned(lazy_cycle16):
     rng = np.random.default_rng(5)
     h = hashlib.sha256()
     for _ in range(300):
+        record = draw_record("batch", cfg.loads, lazy_cycle16, rng)
         cfg, tr = step_batch(cfg, lazy_cycle16, rng, trace=True)
-        _trace_digest(h, tr)
+        _trace_digest(h, tr, *record)
     assert h.hexdigest() == "36b7d4e6e984183bb36f018688fac28b6886289f73fca17da6eb36cd0cd075b2"
 
 
-def _trace_digest(h, tr):
-    for dest, sampled, r in zip(*(_per_vertex(tr, a) for a in (tr.destinations, tr.sampled, tr.r_values))):
+def _trace_digest(h, tr, sampled, r_values):
+    for dest, sampled, r in zip(*(_per_vertex(tr, a) for a in (tr.destinations, sampled, r_values))):
         h.update(dest.astype(np.int64).tobytes())
         h.update(sampled.astype(bool).tobytes())
         h.update(np.where(np.isnan(r), -1.0, r).tobytes())
@@ -573,8 +527,9 @@ def test_naive_trace_stream_pinned(lazy_cycle16):
     rng = np.random.default_rng(5)
     h = hashlib.sha256()
     for _ in range(50):
+        record = draw_record("naive", cfg.loads, lazy_cycle16, rng)
         cfg, tr = step_naive(cfg, lazy_cycle16, rng, trace=True)
-        _trace_digest(h, tr)
+        _trace_digest(h, tr, *record)
     assert h.hexdigest() == "3c02f5c0af4df339c89902d802b6e732b1d3211a75f005c758905f94f2d4d3e2"
 
 
@@ -667,7 +622,7 @@ def test_route_and_scatter_match_the_reference_formula(seed, B):
     # per token: drawn tokens go to r_e, the others fill each entry's whole
     # windows in row order
     dests = M.targets.repeat(counts.astype(np.int64))
-    sampled, _ = _token_draws(loads, M, u, e)
+    sampled, _ = eager_draw_record(loads, M, u, e)
     r_sampled = np.zeros(dests.size, dtype=bool)
     r_sampled[(np.cumsum(loads) - loads)[r_v] + r_k.astype(np.int64)] = True
     r_dests = np.empty(dests.size, dtype=np.int64)
@@ -1044,8 +999,11 @@ def test_exactness_edge_loads(chain, hub, k, rounds, seed):
             assert not trial[~reach].any()
 
 
-@pytest.mark.parametrize("name, sampler", [("alg2-naive", "naive"), ("alg2-batch", "batch")])
-def test_registry_samplers_step_each_trial_like_one_trial_rounds(name, sampler):
+@pytest.mark.parametrize("name, one_trial", [
+    pytest.param("alg2-naive", step_naive, id="alg2-naive-naive"),
+    pytest.param("alg2-batch", step_batch, id="alg2-batch-batch"),
+])
+def test_registry_samplers_step_each_trial_like_one_trial_rounds(name, one_trial):
     # trial b of a block gets the loads its sampler gives from rngs[b] alone
     P = metropolis_matrix(gen_star(12))
     cfgs = [point_config(P.n, 30)] * 3
@@ -1054,7 +1012,7 @@ def test_registry_samplers_step_each_trial_like_one_trial_rounds(name, sampler):
     block = np.tile(cfgs[0].loads, 3)
     for _ in range(10):
         block = step(block)
-        cfgs = [SAMPLERS[sampler](cfg, P, rng) for cfg, rng in zip(cfgs, rngs)]
+        cfgs = [one_trial(cfg, P, rng) for cfg, rng in zip(cfgs, rngs)]
         assert np.array_equal(block, np.concatenate([cfg.loads for cfg in cfgs]))
 
 

@@ -12,19 +12,23 @@ from diffusim import LoadConfig, discrete, harness, verify
 from diffusim.cli import main
 from diffusim.errors import ValidationError
 
+from conftest import draw_record
+
 LEMMA_STEPS = 1200  # steps of the first lemma case: lazy walk on cycle:16 from point:160
 CHUNK = verify.LEMMA_ITEMS // (160 + 16 * 3)  # that case's steps per check: 160 tokens, 48 row entries
 
 
 @pytest.fixture
 def sampler_calls(monkeypatch):
-    """Count the calls of every discrete.SAMPLERS entry, as the benchmark does."""
-    calls = dict.fromkeys(discrete.SAMPLERS, 0)
-    for name, fn in list(discrete.SAMPLERS.items()):
-        def counted(*args, _fn=fn, _name=name, **kwargs):
+    """Count the calls of discrete.step_naive and step_batch by rebinding the
+    module attributes, as the benchmark does: a sampler that a suite bound
+    before the rebinding escapes the count."""
+    calls = {"naive": 0, "batch": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(discrete, f"step_{name}"), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
-        monkeypatch.setitem(discrete.SAMPLERS, name, counted)
+        monkeypatch.setattr(discrete, f"step_{name}", counted)
     return calls
 
 
@@ -38,6 +42,8 @@ def test_sampler_calls_per_suite(sampler_calls):
     res = verify.suite_lemmas(min_vertex_steps=2000)
     assert (res.passed, res.checks) == (True, LEMMA_STEPS * 16)
     assert sampler_calls == {"naive": 300, "batch": LEMMA_STEPS}
+    verify.suite_conservation()   # 30 cases of 40 rounds per sampler
+    assert sampler_calls == {"naive": 300 + 1200, "batch": LEMMA_STEPS + 1200}
 
 
 FIG = verify.figure_row_matrix()
@@ -51,7 +57,8 @@ FIG_DET = FIG_SUPPORT.sum(axis=1) == 1   # tokens 3 and 4: one target each
 
 def _per_call_equivalence(seed: int, checkpoints):
     """For each number of samples in checkpoints, sampler_equivalence_stats'
-    flags and counts from one traced SAMPLERS call per sample: {samples:
+    flags and counts from one traced step_naive or step_batch call per
+    sample, its draws read off a twin generator: {samples:
     (det sets equal, supports equal, {sampler: (table, draws, generator
     state)})}, from one run of max(checkpoints) samples per sampler."""
     out = {c: [True, True, {}] for c in checkpoints}
@@ -59,11 +66,13 @@ def _per_call_equivalence(seed: int, checkpoints):
         rng = np.random.default_rng(seed + si)
         table, draws = np.zeros((5, 5), dtype=np.int64), np.zeros(5, dtype=np.int64)
         drew_wrong = False
+        step = getattr(discrete, f"step_{sampler}")
         for i in range(1, max(checkpoints) + 1):
-            _, tr = discrete.SAMPLERS[sampler](FIG_X0, FIG, rng, trace=True)
+            sampled, _ = draw_record(sampler, FIG_X0.loads, FIG, rng)
+            _, tr = step(FIG_X0, FIG, rng, trace=True)
             table[np.arange(5), FIG_COL[tr.destinations]] += 1
-            draws += tr.sampled
-            drew_wrong |= sampler == "batch" and bool(np.any(tr.sampled == FIG_DET))
+            draws += sampled
+            drew_wrong |= sampler == "batch" and bool(np.any(sampled == FIG_DET))
             if i in out:
                 seen = table > 0
                 out[i][0] &= not (drew_wrong or np.any(seen[FIG_DET].sum(axis=1) != 1))
@@ -139,22 +148,6 @@ def test_lemma_suite_checks_whole_chunks(monkeypatch):
     assert passes == [CHUNK] * (LEMMA_STEPS // CHUNK) + [LEMMA_STEPS % CHUNK]
 
 
-
-def test_lemma_suite_builds_no_draw_record(monkeypatch):
-    # the checker reads destinations only, so no traced round of either
-    # sampler builds its sampled and r_values; 86,701 vertex-steps run every
-    # fuzz case once
-    def refuse(*args):
-        raise AssertionError("a draw record was built")
-
-    monkeypatch.setattr(discrete, "_token_draws", refuse)
-    monkeypatch.setattr(discrete, "_every_token_drew", refuse)
-    res = verify.suite_lemmas(min_vertex_steps=86_701)
-    assert (res.passed, res.checks) == (True, 94_200)
-    _, tr = discrete.step_batch(FIG_X0, FIG, np.random.default_rng(0), trace=True)   # the patch holds
-    with pytest.raises(AssertionError, match="draw record"):
-        tr.sampled
-
 def _faulty(real, faults: dict):
     """real sampler, except that call j of faults[j] == "misroute" sends one
     token off its row's support, "lose" reports a total one short and
@@ -191,11 +184,11 @@ def _per_step_lemmas(seed: int, min_vertex_steps: int):
     cases = verify._fuzz_cases(seed)
     ci = 0
     while vertex_steps < min_vertex_steps:
-        P, x0, steps, sampler = cases[ci % len(cases)]
+        P, x0, steps, step = cases[ci % len(cases)]
         ci += 1
         cfg = x0
         for _ in range(steps):
-            nxt, tr = discrete.SAMPLERS[sampler](cfg, P, rng, trace=True)
+            nxt, tr = step(cfg, P, rng, trace=True)
             vertex_steps += P.n
             violations = []
             if nxt.total != cfg.total:
@@ -240,10 +233,10 @@ def _per_step_lemmas(seed: int, min_vertex_steps: int):
     {39: "negative"},
 ], ids=str)
 def test_lemma_suite_first_violation_matches_per_step_loop(monkeypatch, faults):
-    real = discrete.SAMPLERS["batch"]
-    monkeypatch.setitem(discrete.SAMPLERS, "batch", _faulty(real, faults))
+    real = discrete.step_batch
+    monkeypatch.setattr(discrete, "step_batch", _faulty(real, faults))
     res = verify.suite_lemmas(seed=0, min_vertex_steps=2000)
-    monkeypatch.setitem(discrete.SAMPLERS, "batch", _faulty(real, faults))
+    monkeypatch.setattr(discrete, "step_batch", _faulty(real, faults))
     message, vertex_steps = _per_step_lemmas(seed=0, min_vertex_steps=2000)
     assert not res.passed
     assert (res.detail, res.checks) == (message, vertex_steps)
