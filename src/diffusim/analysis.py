@@ -19,7 +19,7 @@ from .errors import (
     UnsupportedMatrixError,
     ValidationError,
 )
-from .matrices import RoundMatrix, cayley_spectrum, detailed_balance_pi, power_apply, second_eigenvalue
+from .matrices import RoundMatrix, detailed_balance_pi, power_apply, second_eigenvalue
 
 PSI_TOL_DEFAULT = 1e-12
 PSI_T_MAX_FALLBACK = 10_000
@@ -90,7 +90,7 @@ def local_p_divergence(P: RoundMatrix, p: int = 2, tol: float = PSI_TOL_DEFAULT,
     only eigenvalue of modulus 1 is 1 itself, the sum over t is evaluated
     exactly in the chain's spectral basis (t_stop=0, residual and tail_bound
     0), and tol and t_max are unused; a chain that records a Cayley group
-    gets it from cayley_spectrum at any n, other chains from a dense
+    gets it from P.cayley_spectrum at any n, other chains from a dense
     eigendecomposition. Otherwise (p=1, non-reversible or
     periodic chains) it is truncated once the per-step inner sum stays below
     tol for 3 consecutive steps, or fails with NotConvergedError after t_max.
@@ -121,7 +121,7 @@ def _cayley_psi2(P: RoundMatrix) -> DivergenceReport | None:
     so the double sum collapses to psi2^2 = (4d/N) sum_{i>=2} 1 / (1 + lam_i)
     at every vertex; vertex 0 is reported. Lazy chains have lam_i >= 0.
     """
-    lam = cayley_spectrum(P)
+    lam = P.cayley_spectrum
     if lam is None:
         return None
     d = len(P.group.generators)
@@ -214,11 +214,6 @@ def dirichlet_form(f, P: RoundMatrix, pi: np.ndarray) -> float:
     return float(0.5 * np.sum(diffs * diffs * (np.asarray(pi)[P.rows] * P.probs)))
 
 
-def _min_flow(P: RoundMatrix, pi: np.ndarray) -> float:
-    """Smallest positive edge flow pi_v P[v,u], self-loops included."""
-    return float((pi[P.rows] * P.probs).min())
-
-
 def dirichlet_identity_check(P: RoundMatrix, w: int, t: int) -> tuple[float, float, float]:
     """Both sides of E(P^t[., w]) = pi_w (P^{2t}[w,w] - P^{2t+1}[w,w]).
 
@@ -248,7 +243,7 @@ def psi2_bound_reversible(P: RoundMatrix) -> float:
     pi = detailed_balance_pi(P)
     if pi is None:
         raise UnsupportedMatrixError("bound requires a reversible chain")
-    return math.sqrt(2.0 * float(pi.max()) / _min_flow(P, pi))
+    return math.sqrt(2.0 * float(pi.max()) / float((pi[P.rows] * P.probs).min()))
 
 
 def psi2_bound_symmetric(P: RoundMatrix) -> float:
@@ -257,7 +252,7 @@ def psi2_bound_symmetric(P: RoundMatrix) -> float:
         raise UnsupportedMatrixError("bound requires a symmetric chain")
     if not P.lazy:
         raise UnsupportedMatrixError("bound requires a lazy chain (diagonal >= 1/2)")
-    return math.sqrt(2.0 / P.min_positive_entry())
+    return math.sqrt(2.0 / float(P.probs.min()))
 
 
 def _check_log_arg(N: int) -> float:

@@ -14,12 +14,9 @@ from .matrices import RoundMatrix, power_apply
 
 
 def continuous_run(x0, P: RoundMatrix, T: int) -> np.ndarray:
-    """chi_0 . P^T for a nonnegative real initial vector; T=0 returns a copy."""
+    """chi_0 . P^T for a nonnegative real initial vector; T=0 returns a copy.
+    power_apply refuses a vector of the wrong shape and a negative T."""
     arr = np.asarray(x0, dtype=np.float64)
-    if arr.shape != (P.n,):
-        raise ValidationError(f"config has shape {arr.shape}, matrix has n={P.n}")
     if np.any(arr < 0):
         raise ValidationError("continuous loads must be nonnegative")
-    if T < 0:
-        raise ValidationError(f"step count must be >= 0, got {T}")
     return power_apply(arr, P, T)

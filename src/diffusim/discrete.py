@@ -64,6 +64,8 @@ _INT64 = np.dtype(np.int64)  # a dtype compares faster with a dtype than with a 
 
 
 def _check_total(total: int | float) -> int | float:
+    if total < 0:
+        raise ValidationError(f"total load {total} is negative")
     if total > MAX_TOTAL:
         raise ValidationError(f"total load {total} exceeds 2**53, the largest the samplers route exactly")
     return total
@@ -396,7 +398,7 @@ class Baseline:
     def __call__(self, P, g: Graph, rngs):
         d, B = g.regular_degree(), len(rngs)
         draw = partial(_draws, tuple(rngs), edges=g.n * np.arange(B + 1))
-        nbrs = (g.neighbor_array() + g.n * np.arange(B)[:, None, None]).reshape(B * g.n, d)
+        nbrs = (g.targets.reshape(g.n, d) + g.n * np.arange(B)[:, None, None]).reshape(B * g.n, d)
         return lambda loads: self.rule(loads, nbrs, draw)
 
 

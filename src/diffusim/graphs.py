@@ -11,10 +11,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GenerationError, ValidationError
+from .errors import GenerationError, SizeLimitError, ValidationError
 
 # Full-restart budget for the pairing-model regular graph sampler.
 MAX_REGULAR_RESTARTS = 10_000
+# Directed edges (2 per edge) at most in a generated graph: 64 x hypercube:16.
+MAX_EDGES = 2**26
 
 
 def _read_only_setstate(obj, state: dict) -> None:
@@ -57,10 +59,11 @@ class Graph:
 
     Vertex v's neighbors are targets[indptr[v]:indptr[v+1]], ascending. Both
     arrays are int64 and read-only, laid out as RoundMatrix's arrays of the
-    same names. Derived values (the common degree, the neighbor array) are
-    computed on first use and kept for the life of the graph. The cycle,
-    torus, hypercube and complete generators record the abelian group whose
-    Cayley graph they build as `group`; every other graph records None."""
+    same names. The common degree is computed on first use and kept for the
+    life of the graph; on a regular graph targets.reshape(n, d) is the (n, d)
+    neighbor array. The cycle, torus, hypercube and complete generators
+    record the abelian group whose Cayley graph they build as `group`; every
+    other graph records None."""
 
     n: int
     indptr: np.ndarray    # (n+1,) int64: v's neighbors are targets[indptr[v]:indptr[v+1]]
@@ -136,15 +139,6 @@ class Graph:
         up = rows < self.targets
         return list(zip(rows[up].tolist(), self.targets[up].tolist()))
 
-    @cached_property
-    def _neighbor_array(self) -> np.ndarray:
-        return self.targets.reshape(self.n, self.regular_degree())
-
-    def neighbor_array(self) -> np.ndarray:
-        """(n, d) neighbor index matrix for a regular graph; a read-only view
-        of targets, kept for the life of the graph."""
-        return self._neighbor_array
-
 
 def _symmetric_support_connected(indptr: np.ndarray, targets: np.ndarray) -> bool:
     """Connectivity of a symmetric support in CSR form by hook and shortcut
@@ -169,10 +163,19 @@ def _symmetric_support_connected(indptr: np.ndarray, targets: np.ndarray) -> boo
     return True
 
 
+def _check_edges(spec: str, directed_edges: int) -> None:
+    """Refuse a generated graph above MAX_EDGES directed edges, given its
+    closed-form count, before any array exists."""
+    if directed_edges > MAX_EDGES:
+        raise SizeLimitError(f"{spec} has more than {MAX_EDGES} (2**26) directed edges, "
+                             f"the cap for a generated graph")
+
+
 def gen_cycle(n: int) -> Graph:
     """Cycle on n >= 3 vertices; vertex i adjacent to (i +- 1) mod n."""
     if n < 3:
         raise ValidationError(f"cycle needs n >= 3, got {n}")
+    _check_edges(f"cycle:{n}", 2 * n)
     i = np.arange(n)
     g = Graph.from_edges(n, np.column_stack((i, (i + 1) % n)))
     return replace(g, group=CayleyGroup.of((n,), [1, n - 1]))
@@ -182,6 +185,8 @@ def gen_hypercube(dim: int) -> Graph:
     """dim-dimensional hypercube on 2**dim vertices; i ~ j iff they differ in one bit."""
     if dim < 1:
         raise ValidationError(f"hypercube needs dim >= 1, got {dim}")
+    # dim * 2**dim; a shift past 27 is over the cap anyway, so a huge dim builds no huge int
+    _check_edges(f"hypercube:{dim}", dim << min(dim, MAX_EDGES.bit_length()))
     i = np.arange(1 << dim)
     j = i[:, None] ^ (1 << np.arange(dim))
     g = Graph.from_edges(i.size, np.column_stack((np.repeat(i, dim), j.ravel())))
@@ -192,6 +197,7 @@ def gen_star(n: int) -> Graph:
     """Star on n >= 2 vertices; vertex 0 is the center."""
     if n < 2:
         raise ValidationError(f"star needs n >= 2, got {n}")
+    _check_edges(f"star:{n}", 2 * (n - 1))
     leaves = np.arange(1, n)
     return Graph.from_edges(n, np.column_stack((np.zeros_like(leaves), leaves)))
 
@@ -200,6 +206,7 @@ def gen_complete(n: int) -> Graph:
     """Complete graph on n >= 2 vertices."""
     if n < 2:
         raise ValidationError(f"complete graph needs n >= 2, got {n}")
+    _check_edges(f"complete:{n}", n * (n - 1))
     g = Graph.from_edges(n, np.column_stack(np.triu_indices(n, 1)))
     return replace(g, group=CayleyGroup.of((n,), np.arange(1, n)))
 
@@ -208,6 +215,7 @@ def gen_torus(a: int, b: int) -> Graph:
     """a x b grid with wraparound in both directions (4-regular); a, b >= 3."""
     if a < 3 or b < 3:
         raise ValidationError(f"torus needs both sides >= 3, got {a}x{b}")
+    _check_edges(f"torus:{a}:{b}", 4 * a * b)
     v = np.arange(a * b)
     i, j = np.divmod(v, b)
     down, right = (i + 1) % a * b + j, i * b + (j + 1) % b
@@ -228,6 +236,7 @@ def gen_random_regular(n: int, d: int, seed: int) -> Graph:
         raise ValidationError(f"need d >= 1, got d={d}")
     if (n * d) % 2 != 0:
         raise ValidationError(f"n*d must be even, got n={n}, d={d}")
+    _check_edges(f"random-regular:{n}:{d}", n * d)
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
     tried, k = 0, 1

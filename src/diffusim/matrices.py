@@ -180,7 +180,19 @@ class RoundMatrix:
         return out
 
     @cached_property
-    def _cayley_spectrum(self) -> np.ndarray | None:
+    def cayley_spectrum(self) -> np.ndarray | None:
+        """The eigenvalues, flat in the group's character order, when the
+        matrix records a Cayley group (lazy-rw and metropolis chains on
+        cycle, torus, hypercube and complete graphs); None otherwise.
+        Computed once per matrix, read-only.
+
+        Such a P is (I + A/d) / 2 for the adjacency matrix A of the Cayley
+        graph of an abelian group G with generator set S, d = |S|. The
+        characters of G are a common eigenbasis of every such A, and A's
+        eigenvalue on a character is its sum over S: the discrete Fourier
+        transform of S's indicator laid out on G's shape, real because
+        S = -S. Entry 0 is the trivial character, the eigenvalue 1.
+        """
         grp = self.group
         if grp is None:
             return None
@@ -196,12 +208,6 @@ class RoundMatrix:
         s = slice(self.indptr[v], self.indptr[v + 1])
         return RowView(self.targets[s], self.probs[s], self.ends[s])
 
-    def entry(self, v: int, u: int) -> float:
-        """P[v, u]; exactly 0.0 for absent entries."""
-        rv = self.row(v)
-        hits = np.flatnonzero(rv.targets == u)
-        return float(rv.probs[hits[0]]) if hits.size else 0.0
-
     def dense(self) -> np.ndarray:
         """Dense (n, n) copy; refuses above DENSE_LIMIT."""
         if self.n > DENSE_LIMIT:
@@ -209,9 +215,6 @@ class RoundMatrix:
         out = np.zeros((self.n, self.n))
         out[self.rows, self.targets] = self.probs
         return out
-
-    def min_positive_entry(self) -> float:
-        return float(self.probs.min())
 
     def to_text(self) -> str:
         """Serialize as a header line "n" then "v u p" lines."""
@@ -424,26 +427,10 @@ def power_apply(x: np.ndarray, P: RoundMatrix, t: int) -> np.ndarray:
     return y
 
 
-def cayley_spectrum(P: RoundMatrix) -> np.ndarray | None:
-    """P's eigenvalues, flat in the group's character order, when P records
-    a Cayley group (lazy-rw and metropolis chains on cycle, torus, hypercube
-    and complete graphs); None otherwise.
-
-    Such a P is (I + A/d) / 2 for the adjacency matrix A of the Cayley graph
-    of an abelian group G with generator set S, d = |S|. The characters of G
-    are a common eigenbasis of every such A, and A's eigenvalue on a
-    character is its sum over S: the discrete Fourier transform of S's
-    indicator laid out on G's shape, real because S = -S. Entry 0 is the
-    trivial character, the eigenvalue 1. Computed once per matrix: every
-    call returns the same read-only array.
-    """
-    return P._cayley_spectrum
-
-
 def second_eigenvalue(P: RoundMatrix) -> float:
     """Second-largest eigenvalue magnitude of a symmetric irreducible chain.
 
-    Read off cayley_spectrum at any n when P records a Cayley group; else a
+    Read off P.cayley_spectrum at any n when P records a Cayley group; else a
     dense symmetric eigendecomposition, refused above DENSE_LIMIT. For lazy
     symmetric chains all eigenvalues are nonnegative so this equals
     lambda_2 itself.
@@ -452,7 +439,7 @@ def second_eigenvalue(P: RoundMatrix) -> float:
         raise UnsupportedMatrixError("second_eigenvalue requires a symmetric matrix")
     if not P.irreducible:
         raise NotIrreducibleError("second_eigenvalue requires an irreducible matrix")
-    eigs = cayley_spectrum(P)
+    eigs = P.cayley_spectrum
     if eigs is None:
         if P.n > DENSE_LIMIT:
             raise SizeLimitError(f"n={P.n} above dense eigensolver limit {DENSE_LIMIT}")

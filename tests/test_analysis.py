@@ -34,7 +34,7 @@ from diffusim import (
 from diffusim import analysis
 from diffusim.analysis import PSI_T_MAX_FALLBACK, PSI_TOL_DEFAULT, _divergence_series, _spectral_psi2
 from diffusim.harness import build_graph
-from diffusim.matrices import cayley_spectrum, second_eigenvalue
+from diffusim.matrices import second_eigenvalue
 from diffusim.verify import (
     random_reversible_lazy_chain,
     random_symmetric_lazy_chain,
@@ -355,7 +355,8 @@ def test_bounds_reject_degenerate():
                                   "complete:2", "complete:3", "complete:30"])
 def test_cayley_spectrum_matches_the_dense_path(spec, make):
     P = make(build_graph(spec))
-    lam = cayley_spectrum(P)
+    lam = P.cayley_spectrum
+    assert P.cayley_spectrum is lam and not lam.flags.writeable   # computed once, read-only
     dense = np.linalg.eigvalsh(P.dense())
     assert lam[0] == 1.0
     # every eigenvalue lies in [0, 1], so 1e-13 absolute is 1e-13 of the spectral radius
@@ -378,6 +379,6 @@ def test_cayley_psi2_needs_no_dense_form():
 
 
 def test_chains_without_a_group_keep_the_dense_path():
-    assert cayley_spectrum(metropolis_matrix(gen_star(6))) is None
+    assert metropolis_matrix(gen_star(6)).cayley_spectrum is None
     P = metropolis_matrix(gen_star(6))
     assert local_p_divergence(P, p=2).value == _spectral_psi2(P).value

@@ -35,6 +35,7 @@ from diffusim import (
 from diffusim.discrete import (
     ALGORITHMS,
     MAX_TOTAL,
+    _conserved,
     _route,
     _scatter,
     _tile,
@@ -281,6 +282,23 @@ def test_sampler_conservation_and_nonnegativity(seed, steps, step):
         cfg = step(cfg, P, rng)
         assert cfg.total == total
         assert np.all(cfg.loads >= 0)
+
+
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("step", [step_naive, step_batch])
+def test_samplers_return_the_config_that_conserved_built(monkeypatch, lazy_cycle16, step, trace):
+    # every one-trial step hands its loads to discrete._conserved, which checks
+    # the total and the signs, and returns what it built: so verify's suites
+    # need not check a sampler's step again
+    built = []
+    monkeypatch.setattr("diffusim.discrete._conserved",
+                        lambda new, total: built.append(_conserved(new, total)) or built[-1])
+    rng = np.random.default_rng(8)
+    cfg = random_config(16, 120, 44)
+    for i in range(1, 21):
+        out = step(cfg, lazy_cycle16, rng, trace=trace)
+        cfg = out[0] if trace else out
+        assert len(built) == i and cfg is built[-1]
 
 
 def test_traced_steps_match_invariants(lazy_cycle16):
@@ -940,6 +958,12 @@ def test_presets():
     assert np.array_equal(config_from_preset("point:7", 3).loads, [7, 0, 0])
     with pytest.raises(ValidationError):
         config_from_preset("bogus:3", 3)
+
+
+@pytest.mark.parametrize("preset", ["point:-5", "uniform:-3", "random:-5:1"])
+def test_presets_refuse_a_negative_total(preset):
+    with pytest.raises(ValidationError, match=r"^total load -\d is negative$"):
+        config_from_preset(preset, 4)
 
 
 def test_load_config_validation():

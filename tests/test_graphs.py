@@ -17,6 +17,7 @@ from diffusim import (
     load_edge_list,
 )
 from diffusim import graphs
+from diffusim.cli import main
 from diffusim.graphs import Graph, edge_list_text
 from diffusim.harness import build_graph
 from diffusim.verify import random_connected_graph, seeded_irregular_graph
@@ -92,6 +93,15 @@ def test_torus_3x3():
 def test_torus_too_small():
     with pytest.raises(ValidationError):
         gen_torus(2, 3)
+
+
+@pytest.mark.parametrize("spec", ["hypercube:40", "complete:100000", "torus:3:99999999999999",
+                                  "cycle:99999999999999999999"])
+def test_oversized_generated_graph_exit_2(capsys, spec):
+    # refused from the closed-form edge count, before numpy allocates anything
+    assert main(["bounds", "--graph", spec]) == 2
+    assert capsys.readouterr().err == (f"diffusim: error: {spec} has more than {graphs.MAX_EDGES} "
+                                       f"(2**26) directed edges, the cap for a generated graph\n")
 
 
 def test_random_regular_k4():
@@ -220,10 +230,10 @@ def test_from_edges_rejects_non_pairs():
         Graph.from_edges(3, [(0, 1, 2), (1, 2, 0)])
 
 
-def test_neighbor_array_built_once_and_read_only():
+def test_regular_targets_are_the_neighbor_rows():
+    # the baselines read a regular graph's (n, d) neighbor array as this view
     g = gen_torus(5, 7)
-    nbrs = g.neighbor_array()
-    assert g.neighbor_array() is nbrs
+    nbrs = g.targets.reshape(g.n, g.regular_degree())
     assert nbrs.shape == (35, 4) and not nbrs.flags.writeable
     torus_nbrs = [sorted({(i + 1) % 5 * 7 + j, (i - 1) % 5 * 7 + j, i * 7 + (j + 1) % 7, i * 7 + (j - 1) % 7})
                   for i in range(5) for j in range(7)]
@@ -236,8 +246,6 @@ def test_neighbor_array_built_once_and_read_only():
     for _ in range(2):  # the cached answer keeps raising
         with pytest.raises(ValidationError):
             star.regular_degree()
-        with pytest.raises(ValidationError):
-            star.neighbor_array()
 
 
 def test_from_edges_names_first_bad_edge_in_input_order():
@@ -370,7 +378,7 @@ def test_generators_record_their_cayley_group(spec):
     x = np.array(np.unravel_index(np.arange(g.n), grp.shape)).T
     nbrs = np.ravel_multi_index(((x[:, None, :] + grp.generators) % grp.shape).transpose(2, 0, 1),
                                 grp.shape)
-    assert np.array_equal(np.sort(nbrs, axis=1), g.neighbor_array())
+    assert np.array_equal(np.sort(nbrs, axis=1), g.targets.reshape(g.n, -1))
     neg = {tuple(s) for s in np.mod(-grp.generators, grp.shape).tolist()}
     assert neg == {tuple(s) for s in grp.generators.tolist()}  # S = -S
 

@@ -2,6 +2,7 @@ import ast
 from pathlib import Path
 
 import diffusim
+from diffusim import errors
 
 SOURCES = sorted(Path(diffusim.__file__).parent.glob("*.py"))
 
@@ -10,6 +11,22 @@ def test_no_assert_statements():
     # python -O strips assert statements, so no guarantee may rest on one
     found = [f"{path.name}:{node.lineno}" for path in SOURCES
              for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert SOURCES and found == []
+
+
+def test_every_raise_names_a_diffusim_error():
+    # every failure leaves by a DiffusimError and its exit code; SystemExit is
+    # the CLI's usage exit, and a bare raise re-raises what was caught
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = exc.attr if isinstance(exc, ast.Attribute) else exc.id
+                cls = getattr(errors, name, None)
+                named = isinstance(cls, type) and issubclass(cls, errors.DiffusimError)
+                if not named and name != "SystemExit":
+                    found.append(f"{path.name}:{node.lineno} {name}")
     assert SOURCES and found == []
 
 

@@ -150,8 +150,9 @@ def test_lemma_suite_checks_whole_chunks(monkeypatch):
 
 def _faulty(real, faults: dict):
     """real sampler, except that call j of faults[j] == "misroute" sends one
-    token off its row's support, "lose" reports a total one short and
-    "negative" moves tokens to leave a load of -1."""
+    token off its row's support, and "lose" (one token short) and "negative"
+    (tokens moved to leave a load of -1) hand their loads to
+    discrete._conserved, which raises as a real step's check does."""
     calls = [0]
 
     def step(x, P, rng, trace=False):
@@ -163,14 +164,15 @@ def _faulty(real, faults: dict):
             d = tr.destinations.copy()     # v's tokens are the last ones
             d[d.size - tr.counts[v]] = (v + P.n // 2) % P.n  # neither v nor a neighbour on a cycle
             tr.destinations = d
-        elif kind == "lose":
-            nxt = LoadConfig(nxt.loads, nxt.total - 1)
-        elif kind == "negative":
+        elif kind in ("lose", "negative"):
             loads = nxt.loads.copy()
-            moved = loads.min() + 1
-            loads[np.argmin(loads)] -= moved
-            loads[np.argmax(loads)] += moved
-            nxt = LoadConfig(loads, nxt.total)
+            if kind == "lose":
+                loads[np.argmax(loads)] -= 1
+            else:
+                moved = loads.min() + 1
+                loads[np.argmin(loads)] -= moved
+                loads[np.argmax(loads)] += moved
+            nxt = discrete._conserved(loads, nxt.total)
         return (nxt, tr) if trace else nxt
 
     return step
@@ -178,7 +180,8 @@ def _faulty(real, faults: dict):
 
 def _per_step_lemmas(seed: int, min_vertex_steps: int):
     """suite_lemmas' (message, vertex-steps) with every step checked on its
-    own, right after it is taken."""
+    own, right after it is taken: a step's own ValidationError first, then
+    its trace."""
     rng = np.random.default_rng(seed)
     vertex_steps = 0
     cases = verify._fuzz_cases(seed)
@@ -188,17 +191,14 @@ def _per_step_lemmas(seed: int, min_vertex_steps: int):
         ci += 1
         cfg = x0
         for _ in range(steps):
-            nxt, tr = step(cfg, P, rng, trace=True)
             vertex_steps += P.n
-            violations = []
-            if nxt.total != cfg.total:
-                violations.append("conservation violated")
-            if np.any(nxt.loads < 0):
-                violations.append("negative load")
-            violations += verify.check_step_trace(P, tr)
+            try:
+                cfg, tr = step(cfg, P, rng, trace=True)
+            except ValidationError as exc:
+                return str(exc), vertex_steps
+            violations = verify.check_step_trace(P, tr)
             if violations:
                 return violations[0], vertex_steps
-            cfg = nxt
     return f"zero violations over {vertex_steps} vertex-steps", vertex_steps
 
 
@@ -241,6 +241,36 @@ def test_lemma_suite_first_violation_matches_per_step_loop(monkeypatch, faults):
     assert not res.passed
     assert (res.detail, res.checks) == (message, vertex_steps)
     assert vertex_steps == 16 * (min(faults) + 1)
+    assert message.startswith({"misroute": "v=", "lose": "step produced total 159, expected 160",
+                               "negative": "loads must be nonnegative"}[faults[min(faults)]])
+
+
+def test_run_suites_refuses_an_unknown_name_before_any_suite_runs(monkeypatch):
+    ran = []
+    monkeypatch.setitem(verify.SUITES, "prop1", lambda seed=0: ran.append(seed))
+    with pytest.raises(ValidationError, match="^unknown suite 'bogus'"):
+        verify.run_suites(["prop1", "bogus"])
+    assert ran == []
+
+
+def test_cli_verify_step_that_loses_a_token_exit_3(monkeypatch, capsys):
+    # a step's own conservation check fails its suite, and the other suites still run
+    real = discrete._scatter
+
+    def lose_one(targets, counts, size):
+        new = real(targets, counts, size)
+        new[np.argmax(new)] -= 1
+        return new
+
+    monkeypatch.setattr(discrete, "_scatter", lose_one)
+    assert main(["verify"]) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out] == [
+        "[PASS] dirichlet", "[PASS] psi2", "[FAIL] conservation", "[FAIL] lemmas",
+        "[FAIL] sampler-equivalence", "[PASS] expectation", "[PASS] prop1"]
+    assert out[2].startswith("[FAIL] conservation: case 0 sampler batch: step produced total ")
+    assert out[3] == "[FAIL] lemmas: step produced total 159, expected 160 (16 checks)"
+    assert out[4].startswith("[FAIL] sampler-equivalence: batch sample ")
 
 
 @pytest.mark.parametrize("seed, detail, checks", [
